@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cuts import LoopConfig, cutting_plane_loop
+from .cuts import _ROUND_RESIDUAL_LIMIT, LoopConfig, cutting_plane_loop
 from .graphs import BisectionInstance, InstanceFormatError, generate, parse_instance
 from .heuristic import TabuConfig, brute_force, tabu_search
 from .model import RelaxationKind, build_basic, build_new, build_wz
@@ -33,7 +33,6 @@ _BUILDERS = {
 }
 
 _WZ_MAX_N = 60
-_ROUND_RESIDUAL_LIMIT = 1e-4
 
 
 def _load_instance(args) -> BisectionInstance:

@@ -50,24 +50,8 @@ class Cut:
         return f"bqp-cut({self.kind},{self.i},{self.j},{self.k})"
 
     def coeff(self) -> SymCoeff:
-        i, j, k = self.i, self.j, self.k
-        if self.kind == TRI_A:
-            entries = {
-                (min(i, k), max(i, k)): 0.5,
-                (min(j, k), max(j, k)): 0.5,
-                (k, k): -1.0,
-                (min(i, j), max(i, j)): -0.5,
-            }
-        else:
-            entries = {
-                (i, i): 1.0,
-                (j, j): 1.0,
-                (k, k): 1.0,
-                (i, j): -0.5,
-                (i, k): -0.5,
-                (j, k): -0.5,
-            }
-        return SymCoeff.from_entries(entries)
+        r, c, v = (np.ravel(a) for a in _cut_entries([self]))
+        return SymCoeff.from_entries(dict(zip(zip(r.tolist(), c.tolist()), v.tolist())))
 
     def rhs(self) -> float:
         return 0.0 if self.kind == TRI_A else 1.0
@@ -171,17 +155,40 @@ def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
     ]
 
 
+def _cut_entries(cuts: list[Cut]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle entries (r, c, v) of the cut rows, six per row.
+
+    The last two entries of a tri-a row are zero; appending drops them.
+    """
+    a = np.array([c.kind == TRI_A for c in cuts])[:, None]
+    i, j, k = (np.array([getattr(c, f) for c in cuts], dtype=np.intp) for f in "ijk")
+    z = np.zeros_like(i)
+    # tri-a: X_ik + X_jk - X_kk - X_ij;  tri-b: x_i + x_j + x_k - X_ij - X_ik - X_jk
+    r = np.where(a, np.column_stack([i, j, k, i, z, z]), np.column_stack([i, j, k, i, i, j]))
+    c = np.where(a, np.column_stack([k, k, k, j, z, z]), np.column_stack([i, j, k, j, k, k]))
+    v = np.where(a, [0.5, 0.5, -1.0, -0.5, 0.0, 0.0], [1.0, 1.0, 1.0, -0.5, -0.5, -0.5])
+    return np.minimum(r, c), np.maximum(r, c), v
+
+
 def append_cuts(p: ConicProblem, cuts: list[Cut]) -> ConicProblem:
-    """Append cut rows to an order-n relaxation in place; duplicates are skipped."""
+    """Append cut rows to an order-n relaxation in place, as one batch.
+
+    Cuts whose row is already in the problem, or earlier in the list, are
+    skipped.
+    """
     if p.kind not in (RelaxationKind.NEW, RelaxationKind.NEW_BARE):
         raise ValueError("cuts apply to the order-n relaxation only")
     n = p.block_order
+    fresh: dict[str, Cut] = {}
     for c in cuts:
         if not (0 <= c.i < n and 0 <= c.j < n and 0 <= c.k < n):
             raise IndexError(f"cut indices {c.key()} out of range for n={n}")
-        if p.has_label(c.label()):
-            continue
-        p.add_inequality(c.coeff(), c.rhs(), c.label())
+        if len({c.i, c.j, c.k}) < 3:
+            raise ValueError(f"cut indices {c.key()} are not distinct")
+        if not p.has_label(c.label()):
+            fresh.setdefault(c.label(), c)
+    new = list(fresh.values())
+    p.add_inequalities(*_cut_entries(new), [c.rhs() for c in new], list(fresh))
     return p
 
 

@@ -14,15 +14,22 @@ bordered matrix [[1, y^T], [y, Y]] of order 2n+1. Every builder calibrates
 the objective so that a feasible 0/1 assignment evaluates exactly to its
 cut weight, which makes the solved optima directly comparable across
 relaxations.
+
+Constraint rows are kept per sense as flat upper-triangle arrays: row i
+owns entries ``indptr[i]:indptr[i + 1]`` of ``r``, ``c`` and ``v``, sorted
+by (r, c), beside its right-hand side and label. Builders append each
+family as one batch built from index arrays. Residuals, the solver's data
+and the safe bound all apply one stacked operator, rebuilt after appends.
 """
 
 from __future__ import annotations
 
 import enum
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import BisectionInstance, laplacian
 
@@ -69,10 +76,6 @@ class SymCoeff:
         vals = np.array([v for _, _, v in items], dtype=float)
         return SymCoeff(rows, cols, vals)
 
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
-
     def inner_weights(self) -> np.ndarray:
         """Per-entry weights so that <K, M> = w . M[rows, cols]."""
         return self.vals * np.where(self.rows == self.cols, 1.0, 2.0)
@@ -87,14 +90,28 @@ class SymCoeff:
         return K
 
 
-def _sym_identity(n: int) -> SymCoeff:
-    idx = np.arange(n)
-    return SymCoeff(idx, idx, np.ones(n))
+class _Entries:
+    """Upper-triangle entries of one sense's rows, read as (indptr, r, c, v).
 
+    Appended batches (counts, r, c, v) are joined on the first read after an
+    append, which keeps a run of one-row appends linear in the row count.
+    """
 
-def _sym_allones(n: int) -> SymCoeff:
-    r, c = np.triu_indices(n)
-    return SymCoeff(r, c, np.ones(len(r)))
+    def __init__(self):
+        e = np.empty(0, dtype=np.intp)
+        self._batches = [(e, e, e, np.empty(0))]
+        self._joined = None
+
+    def append(self, batch: tuple[np.ndarray, ...]) -> None:
+        self._batches.append(batch)
+        self._joined = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        if self._joined is None:
+            counts, r, c, v = (np.concatenate(a) for a in zip(*self._batches))
+            self._batches = [(counts, r, c, v)]
+            self._joined = (np.concatenate(([0], np.cumsum(counts))), r, c, v)
+        return self._joined
 
 
 @dataclass
@@ -105,39 +122,62 @@ class ConicProblem:
     obj_matrix: np.ndarray
     obj_offset: float = 0.0
     kind: RelaxationKind | None = None
-    graph_order: int | None = None
-    part_sizes: tuple[int, int] | None = None
     trace_constant: float | None = None
 
-    eq_coeffs: list[SymCoeff] = field(default_factory=list)
-    eq_rhs: list[float] = field(default_factory=list)
-    eq_labels: list[str] = field(default_factory=list)
-    ineq_coeffs: list[SymCoeff] = field(default_factory=list)
-    ineq_rhs: list[float] = field(default_factory=list)
-    ineq_labels: list[str] = field(default_factory=list)
-
     def __post_init__(self):
-        self._label_set = set(self.eq_labels) | set(self.ineq_labels)
-        if len(self._label_set) != len(self.eq_labels) + len(self.ineq_labels):
-            raise ValueError("constraint labels must be unique")
+        self.eq_rhs: list[float] = []
+        self.eq_labels: list[str] = []
+        self.ineq_rhs: list[float] = []
+        self.ineq_labels: list[str] = []
+        self._eq, self._ineq = _Entries(), _Entries()
+        self._label_set: set[str] = set()
+        self._operator = None
 
     # -- construction ------------------------------------------------------
 
+    def add_equalities(self, r, c, v, rhs, labels) -> None:
+        """Append a batch of equality rows, one per label.
+
+        ``r`` gives each row's upper-triangle entry rows, reshaped to one
+        line per row; ``c`` and ``v`` broadcast to its shape and ``rhs`` to
+        one value per row. Zero entries are dropped, so rows of one batch
+        may differ in length.
+        """
+        self._append(self._eq, self.eq_rhs, self.eq_labels, r, c, v, rhs, labels)
+
+    def add_inequalities(self, r, c, v, rhs, labels) -> None:
+        """Append a batch of inequality rows; see :meth:`add_equalities`."""
+        self._append(self._ineq, self.ineq_rhs, self.ineq_labels, r, c, v, rhs, labels)
+
     def add_equality(self, coeff: SymCoeff, rhs: float, label: str) -> None:
-        if label in self._label_set:
-            raise ValueError(f"duplicate constraint label {label!r}")
-        self.eq_coeffs.append(coeff)
-        self.eq_rhs.append(float(rhs))
-        self.eq_labels.append(label)
-        self._label_set.add(label)
+        self.add_equalities(coeff.rows, coeff.cols, coeff.vals, rhs, [label])
 
     def add_inequality(self, coeff: SymCoeff, rhs: float, label: str) -> None:
-        if label in self._label_set:
-            raise ValueError(f"duplicate constraint label {label!r}")
-        self.ineq_coeffs.append(coeff)
-        self.ineq_rhs.append(float(rhs))
-        self.ineq_labels.append(label)
-        self._label_set.add(label)
+        self.add_inequalities(coeff.rows, coeff.cols, coeff.vals, rhs, [label])
+
+    def _append(self, entries, rhs_list, label_list, r, c, v, rhs, labels) -> None:
+        labels = list(labels)
+        fresh = set(labels)
+        if len(fresh) < len(labels) or not fresh.isdisjoint(self._label_set):
+            dup = sorted(fresh & self._label_set) or [x for x in labels if labels.count(x) > 1]
+            raise ValueError(f"duplicate constraint label {dup[0]!r}")
+        k, n = len(labels), self.block_order
+        if not k:
+            return
+        r = np.asarray(r, dtype=np.intp)
+        c = np.broadcast_to(np.asarray(c, dtype=np.intp), r.shape).reshape(k, -1)
+        v = np.broadcast_to(np.asarray(v, dtype=float), r.shape).reshape(k, -1)
+        r = r.reshape(k, -1)
+        if r.size and (r.min() < 0 or c.max() >= n or np.any(r > c)):
+            raise ValueError(f"row entries must satisfy 0 <= row <= col < {n}")
+        keep = v != 0.0
+        row = np.broadcast_to(np.arange(k)[:, None], r.shape)[keep]
+        order = np.lexsort((c[keep], r[keep], row))
+        entries.append((keep.sum(axis=1), r[keep][order], c[keep][order], v[keep][order]))
+        rhs_list.extend(np.broadcast_to(np.asarray(rhs, dtype=float), (k,)).tolist())
+        label_list.extend(labels)
+        self._label_set |= fresh
+        self._operator = None
 
     def has_label(self, label: str) -> bool:
         return label in self._label_set
@@ -152,16 +192,49 @@ class ConicProblem:
     def num_ineq(self) -> int:
         return len(self.ineq_rhs)
 
+    def row(self, i: int) -> SymCoeff:
+        """Coefficient matrix of constraint i, counted as in the operator."""
+        entries, i = (self._eq, i) if i < self.num_eq else (self._ineq, i - self.num_eq)
+        indptr, r, c, v = entries.arrays()
+        s = slice(indptr[i], indptr[i + 1])
+        return SymCoeff(r[s], c[s], v[s])
+
+    def operator(self) -> sp.csr_matrix:
+        """Stacked operator, equalities first: row i maps vec(M) to <K_i, M>.
+
+        Each K_i is expanded to full symmetric form (off-diagonal entries
+        twice). Built on first use and again after an append.
+        """
+        if self._operator is None:
+            (ep, *eq), (ip, *iq) = self._eq.arrays(), self._ineq.arrays()
+            r, c, v = (np.concatenate(pair) for pair in zip(eq, iq))
+            n, m = self.block_order, self.num_eq + self.num_ineq
+            row = np.repeat(np.arange(m), np.concatenate([np.diff(ep), np.diff(ip)]))
+            off = r != c
+            flat = np.concatenate([r * n + c, (c * n + r)[off]])
+            self._operator = sp.csr_matrix(
+                (np.concatenate([v, v[off]]), (np.concatenate([row, row[off]]), flat)),
+                shape=(m, n * n),
+            )
+        return self._operator
+
     def eq_residuals(self, M: np.ndarray) -> np.ndarray:
         """<A_i, M> - b_i for every equality."""
-        return np.array([k.inner(M) - b for k, b in zip(self.eq_coeffs, self.eq_rhs)])
+        ax = self.operator() @ np.ravel(M)
+        return ax[: self.num_eq] - np.asarray(self.eq_rhs, dtype=float)
 
     def ineq_violations(self, M: np.ndarray) -> np.ndarray:
         """<G_j, M> - h_j for every inequality (positive means violated)."""
-        return np.array([k.inner(M) - h for k, h in zip(self.ineq_coeffs, self.ineq_rhs)])
+        ax = self.operator() @ np.ravel(M)
+        return ax[self.num_eq :] - np.asarray(self.ineq_rhs, dtype=float)
 
     def objective_value(self, M: np.ndarray) -> float:
         return float(np.tensordot(self.obj_matrix, M)) + self.obj_offset
+
+
+def _labels(family: str, *idx: np.ndarray) -> list[str]:
+    """Row labels 'family(i,j,...)' from index arrays."""
+    return [f"{family}({','.join(map(str, t))})" for t in zip(*(a.tolist() for a in idx))]
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +256,13 @@ def build_basic(inst: BisectionInstance) -> ConicProblem:
         obj_matrix=L / 4.0,
         obj_offset=0.0,
         kind=RelaxationKind.BASIC,
-        graph_order=n,
-        part_sizes=(m1, m2),
         trace_constant=float(n),
     )
-    for i in range(n):
-        p.add_equality(SymCoeff.from_entries({(i, i): 1.0}), 1.0, f"diag({i})")
-    p.add_equality(_sym_allones(n), 2.0 * (m1 * m1 + m2 * m2) - n * n, "j-trace")
+    idx = np.arange(n)
+    p.add_equalities(idx, idx, 1.0, 1.0, _labels("diag", idx))
+    U, V = np.triu_indices(n)
+    p.add_equalities(U, V, 1.0, 2.0 * (m1 * m1 + m2 * m2) - n * n, ["j-trace"])
     return p
-
-
-def _row_sum_coeff(n: int, i: int, m1: int) -> SymCoeff:
-    """Coefficient matrix of (X e)_i - m1 * X_ii = 0."""
-    entries = {(min(i, j), max(i, j)): 0.5 for j in range(n) if j != i}
-    entries[(i, i)] = 1.0 - m1
-    return SymCoeff.from_entries(entries)
 
 
 def build_new(inst: BisectionInstance, with_nonneg: bool = True) -> ConicProblem:
@@ -220,45 +285,29 @@ def build_new(inst: BisectionInstance, with_nonneg: bool = True) -> ConicProblem
         obj_matrix=L.copy(),
         obj_offset=0.0,
         kind=RelaxationKind.NEW if with_nonneg else RelaxationKind.NEW_BARE,
-        graph_order=n,
-        part_sizes=(inst.m1, inst.m2),
         trace_constant=float(m1),
     )
-    p.add_equality(_sym_identity(n), float(m1), "trace")
-    p.add_equality(_sym_allones(n), float(m1 * m1), "j-trace")
-    for i in range(n):
-        p.add_equality(_row_sum_coeff(n, i, m1), 0.0, f"row-sum({i})")
+    idx = np.arange(n)
+    U, V = np.triu_indices(n)
+    p.add_equalities(idx, idx, 1.0, m1, ["trace"])
+    p.add_equalities(U, V, 1.0, m1 * m1, ["j-trace"])
+    # row i of X e = m1 diag(X): 0.5 on every (i, j), counted twice, and 1 - m1 on (i, i)
+    I, J = np.repeat(idx, n), np.tile(idx, n)
+    lo, hi = np.minimum(I, J), np.maximum(I, J)
+    p.add_equalities(lo, hi, np.where(I == J, 1.0 - m1, 0.5), 0.0, _labels("row-sum", idx))
     if with_nonneg:
         # off-diagonal coefficients are 0.5 so each scalar row reads in
         # entry units: <K, X> doubles the off-diagonal contribution
-        for i in range(n):
-            for j in range(i, n):
-                v = -1.0 if i == j else -0.5
-                p.add_inequality(
-                    SymCoeff.from_entries({(i, j): v}), 0.0, f"nonneg({i},{j})"
-                )
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                a, b = min(i, j), max(i, j)
-                # X_ab <= X_ii, oriented by the bounding diagonal index i
-                p.add_inequality(
-                    SymCoeff.from_entries({(a, b): 0.5, (i, i): -1.0}),
-                    0.0,
-                    f"bqp-ub({i},{j})",
-                )
-        for i in range(n):
-            for j in range(i + 1, n):
-                p.add_inequality(
-                    SymCoeff.from_entries({(i, i): 1.0, (j, j): 1.0, (i, j): -0.5}),
-                    1.0,
-                    f"bqp-tri0({i},{j})",
-                )
-        for i in range(n):
-            p.add_inequality(
-                SymCoeff.from_entries({(i, i): 1.0}), 1.0, f"bqp-diag({i})"
-            )
+        p.add_inequalities(U, V, np.where(U == V, -1.0, -0.5), 0.0, _labels("nonneg", U, V))
+        # X_ab <= X_ii for every ordered pair (i, j), oriented by the
+        # bounding diagonal index i
+        off = I != J
+        r, c = np.column_stack([lo, I])[off], np.column_stack([hi, I])[off]
+        p.add_inequalities(r, c, [0.5, -1.0], 0.0, _labels("bqp-ub", I[off], J[off]))
+        I, J = np.triu_indices(n, 1)
+        r, c = np.column_stack([I, I, J]), np.column_stack([I, J, J])
+        p.add_inequalities(r, c, [1.0, -0.5, 1.0], 1.0, _labels("bqp-tri0", I, J))
+        p.add_inequalities(idx, idx, 1.0, 1.0, _labels("bqp-diag", idx))
     return p
 
 
@@ -283,39 +332,24 @@ def build_wz(inst: BisectionInstance) -> ConicProblem:
         obj_matrix=C,
         obj_offset=0.0,
         kind=RelaxationKind.WZ,
-        graph_order=n,
-        part_sizes=(m1, m2),
         trace_constant=float(n + 1),
     )
-    p.add_equality(SymCoeff.from_entries({(0, 0): 1.0}), 1.0, "corner")
     idx1 = np.arange(1, n + 1)
-    idx2 = np.arange(n + 1, 2 * n + 1)
-    p.add_equality(SymCoeff(idx1, idx1, np.ones(n)), float(m1), "trace-1")
-    p.add_equality(SymCoeff(idx2, idx2, np.ones(n)), float(m2), "trace-2")
+    idx2 = idx1 + n
     r, c = np.triu_indices(n)
-    p.add_equality(SymCoeff(r + 1, c + 1, np.ones(len(r))), float(m1 * m1), "j-trace-1")
-    p.add_equality(
-        SymCoeff(r + n + 1, c + n + 1, np.ones(len(r))), float(m2 * m2), "j-trace-2"
-    )
-    for i in range(n):
-        p.add_equality(
-            SymCoeff.from_entries({(1 + i, 1 + n + i): 0.5}), 0.0, f"y12-diag({i})"
-        )
-    cross_r = np.repeat(idx1, n)
-    cross_c = np.tile(idx2, n)
-    p.add_equality(
-        SymCoeff(cross_r, cross_c, np.ones(n * n)), 2.0 * m1 * m2, "j-cross"
-    )
-    for a in range(1, N):
-        p.add_equality(
-            SymCoeff.from_entries({(0, a): 0.5, (a, a): -1.0}), 0.0, f"border({a - 1})"
-        )
-    for a in range(1, N):
-        for b in range(a, N):
-            v = -1.0 if a == b else -0.5
-            p.add_inequality(
-                SymCoeff.from_entries({(a, b): v}), 0.0, f"nonneg({a - 1},{b - 1})"
-            )
+    p.add_equalities(0, 0, 1.0, 1.0, ["corner"])
+    p.add_equalities(idx1, idx1, 1.0, m1, ["trace-1"])
+    p.add_equalities(idx2, idx2, 1.0, m2, ["trace-2"])
+    p.add_equalities(r + 1, c + 1, 1.0, m1 * m1, ["j-trace-1"])
+    p.add_equalities(r + n + 1, c + n + 1, 1.0, m2 * m2, ["j-trace-2"])
+    p.add_equalities(idx1, idx2, 0.5, 0.0, _labels("y12-diag", idx1 - 1))
+    p.add_equalities(np.repeat(idx1, n), np.tile(idx2, n), 1.0, 2.0 * m1 * m2, ["j-cross"])
+    a = np.arange(1, N)
+    r, c = np.column_stack([np.zeros_like(a), a]), np.column_stack([a, a])
+    p.add_equalities(r, c, [0.5, -1.0], 0.0, _labels("border", a - 1))
+    I, J = np.triu_indices(N - 1)
+    v = np.where(I == J, -1.0, -0.5)
+    p.add_inequalities(I + 1, J + 1, v, 0.0, _labels("nonneg", I, J))
     return p
 
 
@@ -380,10 +414,10 @@ def problem_to_text(p: ConicProblem) -> str:
     mask = p.obj_matrix[r, c] != 0.0
     obj = SymCoeff(r[mask], c[mask], p.obj_matrix[r, c][mask])
     out.write(f"objective | {_coeff_to_text(obj)} | 0 | min\n")
-    for k, b, lab in zip(p.eq_coeffs, p.eq_rhs, p.eq_labels):
-        out.write(f"{lab} | {_coeff_to_text(k)} | {b:.17g} | =\n")
-    for k, h, lab in zip(p.ineq_coeffs, p.ineq_rhs, p.ineq_labels):
-        out.write(f"{lab} | {_coeff_to_text(k)} | {h:.17g} | <=\n")
+    senses = ["="] * p.num_eq + ["<="] * p.num_ineq
+    rows = zip(p.eq_labels + p.ineq_labels, p.eq_rhs + p.ineq_rhs, senses)
+    for i, (lab, b, sense) in enumerate(rows):
+        out.write(f"{lab} | {_coeff_to_text(p.row(i))} | {b:.17g} | {sense}\n")
     return out.getvalue()
 
 

@@ -20,6 +20,9 @@ as O(n^2)), the solver sifts: it repeatedly solves with a working subset of
 inequalities and activates any that the iterate violates, which keeps the
 Schur complement small. Multipliers of never-activated rows are zero, so
 the returned solution satisfies the full problem's optimality contract.
+
+Each working set's data is an equilibrated row slice of the problem's
+stacked operator; sifting and the safe bound apply that operator unscaled.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .model import ConicProblem
 
@@ -127,71 +129,62 @@ def min_eigenvalue(M: np.ndarray) -> float:
 # problem data in solver form
 # ---------------------------------------------------------------------------
 
-class _Data:
-    """Stacked constraint data for one solve (equalities first).
+def _segment_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each run of ``counts[i]`` consecutive entries of x, in the
+    order np.sum adds one run alone: runs of equal length share a 2-D sum."""
+    out = np.zeros(len(counts))
+    ends = np.cumsum(counts)
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = x[(ends[rows] - k)[:, None] + np.arange(k)].sum(axis=1)
+    return out
 
-    Rows are equilibrated to unit Frobenius norm; ``row_scale`` maps the
-    scaled multipliers back to the original problem's multipliers.
+
+class _Data:
+    """Equilibrated row slice of a problem's operator (equalities first).
+
+    Rows are scaled to unit Frobenius norm; ``row_scale`` maps the scaled
+    multipliers back to the original problem's multipliers.
     """
 
-    def __init__(self, p: ConicProblem, ineq_idx: np.ndarray, equilibrate: bool = True):
+    def __init__(self, p: ConicProblem, ineq_idx: np.ndarray):
         n = p.block_order
         self.n = n
         self.me = p.num_eq
-        self.ineq_idx = ineq_idx
         self.mi = len(ineq_idx)
         self.m = self.me + self.mi
         self.C = 0.5 * (p.obj_matrix + p.obj_matrix.T)
         self.c0 = p.obj_offset
-        coeffs = list(p.eq_coeffs) + [p.ineq_coeffs[j] for j in ineq_idx]
-        raw_rhs = np.concatenate(
-            [
-                np.array(p.eq_rhs, dtype=float),
-                np.array([p.ineq_rhs[j] for j in ineq_idx], dtype=float),
-            ]
-        ) if self.m else np.empty(0)
+        sel = np.concatenate([np.arange(self.me), self.me + np.asarray(ineq_idx, dtype=np.intp)])
+        A = p.operator()[sel]
+        # the upper-triangle entries of each row, in (r, c) order
+        r, c = np.divmod(A.indices.astype(np.intp), n)
+        up = r <= c
+        row = np.repeat(np.arange(self.m), np.diff(A.indptr))[up]
+        r, c, v = r[up], c[up], A.data[up]
+        counts = np.bincount(row, minlength=self.m)
+        off = r != c
 
-        rows_acc, cols_acc, data_acc = [], [], []
-        self.triplets = []
-        self.dense_K = []
-        self.normA = np.empty(self.m)
-        self.trA = np.empty(self.m)
-        self.row_scale = np.empty(self.m)
-        for i, k in enumerate(coeffs):
-            off = k.rows != k.cols
-            norm = np.sqrt(np.sum(k.vals**2 * np.where(off, 2.0, 1.0)))
-            d = 1.0 / max(norm, 1e-300) if equilibrate else 1.0
-            self.row_scale[i] = d
-            vals = k.vals * d
-            rows_acc.append(np.full(k.nnz + off.sum(), i))
-            cols_acc.append(
-                np.concatenate([k.rows * n + k.cols, (k.cols * n + k.rows)[off]])
-            )
-            data_acc.append(np.concatenate([vals, vals[off]]))
-            self.normA[i] = 1.0
-            self.trA[i] = vals[~off].sum()
-            # halved diagonal values make T = U V^T + V U^T exact
-            u = vals * np.where(off, 1.0, 0.5)
-            if k.nnz > _DENSE_NNZ_FACTOR * n:
-                self.triplets.append(None)
-                K = k.to_dense(n) * d
-                self.dense_K.append(K)
-            else:
-                self.triplets.append((k.rows, k.cols, u))
-                self.dense_K.append(None)
-        self.b = raw_rhs[: self.me] * self.row_scale[: self.me]
-        self.h = raw_rhs[self.me :] * self.row_scale[self.me :]
-        self.rhs = np.concatenate([self.b, self.h])
-        self.A = sp.csr_matrix(
-            (
-                np.concatenate(data_acc) if data_acc else np.empty(0),
-                (
-                    np.concatenate(rows_acc) if rows_acc else np.empty(0, dtype=int),
-                    np.concatenate(cols_acc) if cols_acc else np.empty(0, dtype=int),
-                ),
-            ),
-            shape=(self.m, n * n),
-        )
+        norm = np.sqrt(_segment_sums(v**2 * np.where(off, 2.0, 1.0), counts))
+        self.row_scale = 1.0 / np.maximum(norm, 1e-300)
+        A.data = A.data * np.repeat(self.row_scale, np.diff(A.indptr))
+        self.A = A
+        vals = v * self.row_scale[row]
+        self.trA = _segment_sums(vals[~off], np.bincount(row[~off], minlength=self.m))
+        ineq_rhs = np.asarray(p.ineq_rhs, dtype=float)[ineq_idx]
+        self.rhs = np.concatenate([np.asarray(p.eq_rhs, dtype=float), ineq_rhs]) * self.row_scale
+        self.b = self.rhs[: self.me]
+        self.h = self.rhs[self.me :]
+
+        # rows with many entries enter the Schur build as dense matrices,
+        # the rest as (r, c, u) with halved diagonal values, which makes
+        # T = U V^T + V U^T exact
+        dense = counts > _DENSE_NNZ_FACTOR * n
+        self.dense_K = A[dense].toarray().reshape(-1, n, n)
+        self._dense = dense.tolist()
+        self._ptr = np.concatenate(([0], np.cumsum(counts))).tolist()
+        self.r, self.c = r, c
+        self.u = vals * np.where(off, 1.0, 0.5)
         self._Tbuf = None
 
     def apply(self, M: np.ndarray) -> np.ndarray:
@@ -208,15 +201,17 @@ class _Data:
         if self._Tbuf is None or self._Tbuf.shape != (m, n * n):
             self._Tbuf = np.empty((m, n * n))
         T = self._Tbuf
-        for i in range(m):
-            trip = self.triplets[i]
+        r, c, u, ptr = self.r, self.c, self.u, self._ptr
+        nd = 0
+        for i, dense in enumerate(self._dense):
             Ti = T[i].reshape(n, n)
-            if trip is None:
-                np.matmul(W @ self.dense_K[i], W, out=Ti)
+            if dense:
+                np.matmul(W @ self.dense_K[nd], W, out=Ti)
+                nd += 1
             else:
-                r, c, u = trip
-                U = W[:, r] * u
-                V = W[:, c]
+                a, b = ptr[i], ptr[i + 1]
+                U = W[:, r[a:b]] * u[a:b]
+                V = W[:, c[a:b]]
                 # [U V][V U]^T gives the symmetrized product in one gemm
                 np.matmul(
                     np.concatenate([U, V], axis=1),
@@ -646,10 +641,9 @@ def solve(
         working = working[(working >= 0) & (working < mi)]
     sol = None
     batch = max(4 * p.block_order, 400)
-    full = _Data(p, np.arange(mi), equilibrate=False)
     for _ in range(cfg.sift_max_passes):
         sol = _solve_working(p, cfg, working)
-        viol = (full.apply(sol.primal)[p.num_eq:] - full.h) / scale
+        viol = p.ineq_violations(sol.primal) / scale
         cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol_primal), working)
         if len(cand) == 0:
             return sol
@@ -658,14 +652,6 @@ def solve(
     sol.status = SolverStatus.MAX_ITERS
     sol.message = "inequality sifting did not settle"
     return sol
-
-
-def _all_violations(p: ConicProblem, M: np.ndarray) -> np.ndarray:
-    if not p.num_ineq:
-        return np.empty(0)
-    data = _Data(p, np.arange(p.num_ineq), equilibrate=False)
-    vals = data.apply(M)[p.num_eq :]
-    return vals - data.h
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +676,15 @@ def safe_lower_bound(p: ConicProblem, sol: ConicSolution) -> SafeBound:
         )
     y = np.asarray(sol.dual_eq, dtype=float)
     s = np.maximum(np.asarray(sol.dual_ineq, dtype=float), 0.0)
-    data = _Data(p, np.arange(p.num_ineq), equilibrate=False)
-    Zslack = data.C - data.adjoint(np.concatenate([y, -s]))
+    if y.shape != (p.num_eq,) or s.shape != (p.num_ineq,):
+        raise ValueError(
+            f"dual shapes {y.shape} (equalities) and {s.shape} (inequalities) do not "
+            f"match the problem's ({p.num_eq},) and ({p.num_ineq},)"
+        )
+    n = p.block_order
+    C = 0.5 * (p.obj_matrix + p.obj_matrix.T)
+    Zslack = C - (p.operator().T @ np.concatenate([y, -s])).reshape(n, n)
     lam = min_eigenvalue(Zslack)
-    value = float(data.b @ y - data.h @ s) + t * min(0.0, lam) + p.obj_offset
+    b, h = np.asarray(p.eq_rhs, dtype=float), np.asarray(p.ineq_rhs, dtype=float)
+    value = float(b @ y - h @ s) + t * min(0.0, lam) + p.obj_offset
     return SafeBound(value=value, dual_eq=y, dual_ineq=s, slack_min_eigenvalue=lam)

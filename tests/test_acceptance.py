@@ -244,7 +244,7 @@ def test_criterion7_strict_feasibility():
             inst = BisectionInstance(gen_gnp(n, 0.0, 1), m1, m2)
             p = build_new(inst, with_nonneg=False)
             X = strictly_feasible_point(inst)
-            r = max(residual(k, b, X) for k, b in zip(p.eq_coeffs, p.eq_rhs))
+            r = max(residual(p.row(i), b, X) for i, b in enumerate(p.eq_rhs))
             lam = min_eigenvalue(X)
             worst_res = max(worst_res, r)
             worst_eig = min(worst_eig, lam)

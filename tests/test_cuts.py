@@ -126,6 +126,9 @@ def test_append_cuts_semantics(gnp8):
     assert p.num_ineq == base + 1
     with pytest.raises(IndexError):
         append_cuts(p, [Cut(TRI_B, 0, 1, 99)])
+    with pytest.raises(ValueError, match="not distinct"):
+        append_cuts(p, [Cut(TRI_A, 0, 1, 1)])
+    assert p.num_ineq == base + 1
     wz = build_wz(gnp8)
     with pytest.raises(ValueError):
         append_cuts(wz, [c])

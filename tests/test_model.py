@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,10 @@ from bisectsdp import (
     Assignment,
     BisectionInstance,
     ConicProblem,
+    Cut,
     Graph,
     RelaxationKind,
+    append_cuts,
     build_basic,
     build_new,
     build_wz,
@@ -133,10 +138,9 @@ def test_redundant_trace_equality_is_harmless(gnp8):
         obj_matrix=p.obj_matrix,
         kind=p.kind,
         trace_constant=p.trace_constant,
-        eq_coeffs=[p.eq_coeffs[i] for i in keep],
-        eq_rhs=[p.eq_rhs[i] for i in keep],
-        eq_labels=[p.eq_labels[i] for i in keep],
     )
+    for i in keep:
+        q.add_equality(p.row(i), p.eq_rhs[i], p.eq_labels[i])
     cfg = SolverConfig(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9)
     v_with = solve(p, cfg).objective_primal
     v_without = solve(q, cfg).objective_primal
@@ -164,3 +168,56 @@ def test_problem_text_round_trip(gnp8):
     assert np.allclose(q.eq_residuals(M), p.eq_residuals(M), atol=1e-12)
     assert np.allclose(q.ineq_violations(M), p.ineq_violations(M), atol=1e-12)
     assert q.objective_value(M) == pytest.approx(p.objective_value(M), abs=1e-12)
+
+
+CUTS = [Cut("tri-a", 0, 1, 2), Cut("tri-b", 0, 1, 2), Cut("tri-a", 3, 5, 7)]
+
+
+def _gnp8_problems(inst):
+    built = {
+        "basic": build_basic(inst),
+        "new": build_new(inst, with_nonneg=True),
+        "new-bare": build_new(inst, with_nonneg=False),
+        "wz": build_wz(inst),
+    }
+    cut = build_new(inst, with_nonneg=True)
+    append_cuts(cut, CUTS)
+    built["new+cuts"] = cut
+    return built
+
+
+def test_operator_rows_equal_exact_row_sums(gnp8):
+    rng = np.random.default_rng(5)
+    problems = _gnp8_problems(gnp8)
+    late = build_new(gnp8, with_nonneg=True)
+    late.operator()
+    append_cuts(late, CUTS[:2])
+    append_cuts(late, CUTS[2:])
+    problems["new, cuts appended after the operator was built"] = late
+    for name, p in problems.items():
+        N = p.block_order
+        # small integers keep every product and partial sum exact
+        M = rng.integers(-4, 5, size=(N, N)).astype(float)
+        M = M + M.T
+        rows = [p.row(i) for i in range(p.num_eq + p.num_ineq)]
+        exact = [
+            math.fsum(w * M[r, c] for r, c, w in zip(k.rows, k.cols, k.inner_weights()))
+            for k in rows
+        ]
+        assert (p.operator() @ M.ravel()).tolist() == exact, name
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("basic", "2153c5af0b9e7fcbf37174372c1ab279d0e65325a21b33bdd0ca867610b21bea"),
+        ("new", "62a28f574831fef58aec1c2feffbac1d514e792043d0c2c916e0007cc3420614"),
+        ("new-bare", "7daaed5bfa41a7c0170df2b913d37906258dbb06226594de363afe9d55a8fde5"),
+        ("wz", "5cebb116f2c87e308557674c7b66c19a4f83f6af8f91654b5eef0fd6e8e7aff0"),
+        ("new+cuts", "cfd15ed89890d9a16240304896cf20c996b9dd08b6eb77ba1407b9c9ee5cc560"),
+    ],
+)
+def test_problem_text_digest_is_pinned(gnp8, name, digest):
+    # pins every row, label, entry order and value the builders produce
+    text = problem_to_text(_gnp8_problems(gnp8)[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -130,6 +130,21 @@ def test_safe_bound_requires_trace_constant(gnp8):
         safe_lower_bound(p, sol)
 
 
+def test_safe_bound_rejects_duals_of_another_shape(gnp8):
+    from bisectsdp import Cut, append_cuts
+
+    p = build_new(gnp8, with_nonneg=True)
+    sol = solve(p, SolverConfig())
+    mi = p.num_ineq
+    append_cuts(p, [Cut("tri-b", 0, 1, 2)])
+    with pytest.raises(ValueError, match=rf"\({mi},\) \(inequalities\).*\({mi + 1},\)"):
+        safe_lower_bound(p, sol)
+    sol.dual_ineq = np.zeros(mi + 1)
+    sol.dual_eq = sol.dual_eq[:-1]
+    with pytest.raises(ValueError, match=rf"\({p.num_eq - 1},\) \(equalities\)"):
+        safe_lower_bound(p, sol)
+
+
 def test_block_order_cap():
     p = ConicProblem(block_order=301, obj_matrix=np.zeros((301, 301)))
     with pytest.raises(UnsupportedProblem):
