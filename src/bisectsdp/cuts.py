@@ -43,15 +43,30 @@ class Cut:
     k: int
     violation: float = 0.0
 
+    def __post_init__(self):
+        if len({self.i, self.j, self.k}) < 3:
+            raise ValueError(f"cut indices {self.key()} are not distinct")
+
     def key(self) -> tuple:
         return (self.kind, self.i, self.j, self.k)
 
     def label(self) -> str:
         return f"bqp-cut({self.kind},{self.i},{self.j},{self.k})"
 
+    def entries(self) -> tuple[list[int], list[int], list[float]]:
+        """Upper-triangle entries (r, c, v) of the cut row: 4 for tri-a, 6 for tri-b."""
+        i, j, k = self.i, self.j, self.k
+        if self.kind == TRI_A:
+            # X_ik + X_jk - X_kk - X_ij
+            r, c, v = (i, j, k, i), (k, k, k, j), [0.5, 0.5, -1.0, -0.5]
+        else:
+            # x_i + x_j + x_k - X_ij - X_ik - X_jk
+            r, c, v = (i, j, k, i, i, j), (i, j, k, j, k, k), [1.0, 1.0, 1.0, -0.5, -0.5, -0.5]
+        return list(map(min, r, c)), list(map(max, r, c)), v
+
     def coeff(self) -> SymCoeff:
-        r, c, v = (np.ravel(a) for a in _cut_entries([self]))
-        return SymCoeff.from_entries(dict(zip(zip(r.tolist(), c.tolist()), v.tolist())))
+        r, c, v = self.entries()
+        return SymCoeff.from_entries(dict(zip(zip(r, c), v)))
 
     def rhs(self) -> float:
         return 0.0 if self.kind == TRI_A else 1.0
@@ -155,21 +170,6 @@ def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
     ]
 
 
-def _cut_entries(cuts: list[Cut]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle entries (r, c, v) of the cut rows, six per row.
-
-    The last two entries of a tri-a row are zero; appending drops them.
-    """
-    a = np.array([c.kind == TRI_A for c in cuts])[:, None]
-    i, j, k = (np.array([getattr(c, f) for c in cuts], dtype=np.intp) for f in "ijk")
-    z = np.zeros_like(i)
-    # tri-a: X_ik + X_jk - X_kk - X_ij;  tri-b: x_i + x_j + x_k - X_ij - X_ik - X_jk
-    r = np.where(a, np.column_stack([i, j, k, i, z, z]), np.column_stack([i, j, k, i, i, j]))
-    c = np.where(a, np.column_stack([k, k, k, j, z, z]), np.column_stack([i, j, k, j, k, k]))
-    v = np.where(a, [0.5, 0.5, -1.0, -0.5, 0.0, 0.0], [1.0, 1.0, 1.0, -0.5, -0.5, -0.5])
-    return np.minimum(r, c), np.maximum(r, c), v
-
-
 def append_cuts(p: ConicProblem, cuts: list[Cut]) -> ConicProblem:
     """Append cut rows to an order-n relaxation in place, as one batch.
 
@@ -183,12 +183,16 @@ def append_cuts(p: ConicProblem, cuts: list[Cut]) -> ConicProblem:
     for c in cuts:
         if not (0 <= c.i < n and 0 <= c.j < n and 0 <= c.k < n):
             raise IndexError(f"cut indices {c.key()} out of range for n={n}")
-        if len({c.i, c.j, c.k}) < 3:
-            raise ValueError(f"cut indices {c.key()} are not distinct")
         if not p.has_label(c.label()):
             fresh.setdefault(c.label(), c)
     new = list(fresh.values())
-    p.add_inequalities(*_cut_entries(new), [c.rhs() for c in new], list(fresh))
+    if new:
+        rs, cs, vs = zip(*(c.entries() for c in new))
+        rhs = [c.rhs() for c in new]
+        p.add_inequalities(
+            np.concatenate(rs), np.concatenate(cs), np.concatenate(vs), rhs, list(fresh),
+            counts=list(map(len, vs)),
+        )
     return p
 
 

@@ -11,7 +11,6 @@ domination relation between the bounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,21 +200,52 @@ def full_lifted_facet_rows(n: int) -> list[tuple[SymCoeff, float, str]]:
     rows: list[tuple[SymCoeff, float, str]] = []
     N2 = 2 * n
 
-    def add(terms, rhs: float, label: str) -> None:
-        # +1 offset for the border row/column; the terms name distinct entries
-        entries = {(min(a, b) + 1, max(a, b) + 1): v for a, b, v in terms}
-        rows.append((SymCoeff.from_entries(entries), rhs, label))
+    def E(a: int, b: int, v: float) -> tuple[tuple[int, int], float]:
+        # +1 offset for the border row/column
+        return (min(a, b) + 1, max(a, b) + 1), v
 
-    for i, j in itertools.permutations(range(N2), 2):
-        add([(i, j, 0.5), (i, i, -1.0)], 0.0, f"lift-ub({i},{j})")
-    for i, j in itertools.combinations(range(N2), 2):
-        add([(i, i, 1.0), (j, j, 1.0), (i, j, -0.5)], 1.0, f"lift-pair({i},{j})")
-    for i, j in itertools.combinations(range(N2), 2):
-        for k in range(N2):
-            if k not in (i, j):
-                terms = [(i, k, 0.5), (j, k, 0.5), (k, k, -1.0), (i, j, -0.5)]
-                add(terms, 0.0, f"lift-tri-a({i},{j},{k})")
-    for i, j, k in itertools.combinations(range(N2), 3):
-        terms = [(i, i, 1.0), (j, j, 1.0), (k, k, 1.0), (i, j, -0.5), (i, k, -0.5), (j, k, -0.5)]
-        add(terms, 1.0, f"lift-tri-b({i},{j},{k})")
+    for i in range(N2):
+        for j in range(N2):
+            if i == j:
+                continue
+            entries: dict[tuple[int, int], float] = {}
+            k_, v = E(i, j, 0.5)
+            entries[k_] = entries.get(k_, 0.0) + v
+            k_, v = E(i, i, -1.0)
+            entries[k_] = entries.get(k_, 0.0) + v
+            rows.append((SymCoeff.from_entries(entries), 0.0, f"lift-ub({i},{j})"))
+    for i in range(N2):
+        for j in range(i + 1, N2):
+            entries = {}
+            for (a, b), v in (E(i, i, 1.0), E(j, j, 1.0), E(i, j, -0.5)):
+                entries[(a, b)] = entries.get((a, b), 0.0) + v
+            rows.append((SymCoeff.from_entries(entries), 1.0, f"lift-pair({i},{j})"))
+    for i in range(N2):
+        for j in range(N2):
+            for k in range(N2):
+                if i >= j or k == i or k == j:
+                    continue
+                entries = {}
+                for (a, b), v in (
+                    E(i, k, 0.5),
+                    E(j, k, 0.5),
+                    E(k, k, -1.0),
+                    E(i, j, -0.5),
+                ):
+                    entries[(a, b)] = entries.get((a, b), 0.0) + v
+                rows.append((SymCoeff.from_entries(entries), 0.0, f"lift-tri-a({i},{j},{k})"))
+    for i in range(N2):
+        for j in range(i + 1, N2):
+            for k in range(j + 1, N2):
+                entries = {}
+                for (a, b), v in (
+                    E(i, i, 1.0),
+                    E(j, j, 1.0),
+                    E(k, k, 1.0),
+                    E(i, j, -0.5),
+                    E(i, k, -0.5),
+                    E(j, k, -0.5),
+                ):
+                    entries[(a, b)] = entries.get((a, b), 0.0) + v
+                rows.append((SymCoeff.from_entries(entries), 1.0, f"lift-tri-b({i},{j},{k})"))
     return rows

@@ -15,11 +15,12 @@ the objective so that a feasible 0/1 assignment evaluates exactly to its
 cut weight, which makes the solved optima directly comparable across
 relaxations.
 
-Constraint rows are kept per sense as flat upper-triangle arrays: row i
-owns entries ``indptr[i]:indptr[i + 1]`` of ``r``, ``c`` and ``v``, sorted
-by (r, c), beside its right-hand side and label. Builders append each
-family as one batch built from index arrays. Residuals, the solver's data
-and the safe bound all apply one stacked operator, rebuilt after appends.
+Constraint rows are kept per sense as flat upper-triangle arrays ``r``,
+``c`` and ``v`` with a count of entries per row, each row sorted by (r, c),
+beside its right-hand side and label. Builders append each family as one
+batch built from index arrays. ``ConicProblem.rows`` hands out the entries
+of a row selection; residuals, the solver's data and the safe bound apply
+one stacked operator, rebuilt after appends.
 """
 
 from __future__ import annotations
@@ -90,30 +91,6 @@ class SymCoeff:
         return K
 
 
-class _Entries:
-    """Upper-triangle entries of one sense's rows, read as (indptr, r, c, v).
-
-    Appended batches (counts, r, c, v) are joined on the first read after an
-    append, which keeps a run of one-row appends linear in the row count.
-    """
-
-    def __init__(self):
-        e = np.empty(0, dtype=np.intp)
-        self._batches = [(e, e, e, np.empty(0))]
-        self._joined = None
-
-    def append(self, batch: tuple[np.ndarray, ...]) -> None:
-        self._batches.append(batch)
-        self._joined = None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._joined is None:
-            counts, r, c, v = (np.concatenate(a) for a in zip(*self._batches))
-            self._batches = [(counts, r, c, v)]
-            self._joined = (np.concatenate(([0], np.cumsum(counts))), r, c, v)
-        return self._joined
-
-
 @dataclass
 class ConicProblem:
     """One PSD block plus linear equalities and appendable inequalities."""
@@ -129,25 +106,28 @@ class ConicProblem:
         self.eq_labels: list[str] = []
         self.ineq_rhs: list[float] = []
         self.ineq_labels: list[str] = []
-        self._eq, self._ineq = _Entries(), _Entries()
+        # appended (counts, r, c, v) batches per sense, joined on the next read
+        empty = (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),)
+        self._eq, self._ineq = [empty], [empty]
         self._label_set: set[str] = set()
-        self._operator = None
+        self._stacked = self._operator = None
 
     # -- construction ------------------------------------------------------
 
-    def add_equalities(self, r, c, v, rhs, labels) -> None:
+    def add_equalities(self, r, c, v, rhs, labels, counts=None) -> None:
         """Append a batch of equality rows, one per label.
 
-        ``r`` gives each row's upper-triangle entry rows, reshaped to one
-        line per row; ``c`` and ``v`` broadcast to its shape and ``rhs`` to
-        one value per row. Zero entries are dropped, so rows of one batch
-        may differ in length.
+        ``r``, ``c`` and ``v`` are the rows' upper-triangle entries; ``c``
+        and ``v`` broadcast to the shape of ``r`` and ``rhs`` to one value
+        per row. Row i owns ``counts[i]`` consecutive entries; without
+        ``counts`` the entries split evenly over the rows. Zero entries are
+        dropped, and an entry named twice in one row is an error.
         """
-        self._append(self._eq, self.eq_rhs, self.eq_labels, r, c, v, rhs, labels)
+        self._append(self._eq, self.eq_rhs, self.eq_labels, r, c, v, rhs, labels, counts)
 
-    def add_inequalities(self, r, c, v, rhs, labels) -> None:
+    def add_inequalities(self, r, c, v, rhs, labels, counts=None) -> None:
         """Append a batch of inequality rows; see :meth:`add_equalities`."""
-        self._append(self._ineq, self.ineq_rhs, self.ineq_labels, r, c, v, rhs, labels)
+        self._append(self._ineq, self.ineq_rhs, self.ineq_labels, r, c, v, rhs, labels, counts)
 
     def add_equality(self, coeff: SymCoeff, rhs: float, label: str) -> None:
         self.add_equalities(coeff.rows, coeff.cols, coeff.vals, rhs, [label])
@@ -155,7 +135,7 @@ class ConicProblem:
     def add_inequality(self, coeff: SymCoeff, rhs: float, label: str) -> None:
         self.add_inequalities(coeff.rows, coeff.cols, coeff.vals, rhs, [label])
 
-    def _append(self, entries, rhs_list, label_list, r, c, v, rhs, labels) -> None:
+    def _append(self, batches, rhs_list, label_list, r, c, v, rhs, labels, counts) -> None:
         labels = list(labels)
         fresh = set(labels)
         if len(fresh) < len(labels) or not fresh.isdisjoint(self._label_set):
@@ -165,19 +145,25 @@ class ConicProblem:
         if not k:
             return
         r = np.asarray(r, dtype=np.intp)
-        c = np.broadcast_to(np.asarray(c, dtype=np.intp), r.shape).reshape(k, -1)
-        v = np.broadcast_to(np.asarray(v, dtype=float), r.shape).reshape(k, -1)
-        r = r.reshape(k, -1)
+        c = np.broadcast_to(np.asarray(c, dtype=np.intp), r.shape).ravel()
+        v = np.broadcast_to(np.asarray(v, dtype=float), r.shape).ravel()
+        r = r.ravel()
+        counts = np.full(k, r.size // k) if counts is None else np.asarray(counts, dtype=np.intp)
+        if counts.shape != (k,) or counts.sum() != r.size:
+            raise ValueError(f"{r.size} entries do not split into the {k} rows")
         if r.size and (r.min() < 0 or c.max() >= n or np.any(r > c)):
             raise ValueError(f"row entries must satisfy 0 <= row <= col < {n}")
         keep = v != 0.0
-        row = np.broadcast_to(np.arange(k)[:, None], r.shape)[keep]
-        order = np.lexsort((c[keep], r[keep], row))
-        entries.append((keep.sum(axis=1), r[keep][order], c[keep][order], v[keep][order]))
+        row, r, c, v = np.repeat(np.arange(k), counts)[keep], r[keep], c[keep], v[keep]
+        order = np.lexsort((c, r, row))
+        row, r, c, v = row[order], r[order], c[order], v[order]
+        if np.any((np.diff(row) == 0) & (np.diff(r) == 0) & (np.diff(c) == 0)):
+            raise ValueError("a row names the same entry twice")
+        batches.append((np.bincount(row, minlength=k), r, c, v))
         rhs_list.extend(np.broadcast_to(np.asarray(rhs, dtype=float), (k,)).tolist())
         label_list.extend(labels)
         self._label_set |= fresh
-        self._operator = None
+        self._stacked = self._operator = None
 
     def has_label(self, label: str) -> bool:
         return label in self._label_set
@@ -192,12 +178,27 @@ class ConicProblem:
     def num_ineq(self) -> int:
         return len(self.ineq_rhs)
 
+    def rows(self, sel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Upper-triangle entries of the rows ``sel`` (equalities first).
+
+        Returns (counts, r, c, v): row sel[t] owns the t-th run of
+        ``counts[t]`` entries, sorted by (r, c).
+        """
+        if self._stacked is None:
+            # joining keeps a run of one-row appends linear in the row count
+            for batches in (self._eq, self._ineq):
+                batches[:] = [tuple(np.concatenate(a) for a in zip(*batches))]
+            counts, r, c, v = (np.concatenate(a) for a in zip(self._eq[0], self._ineq[0]))
+            self._stacked = (np.concatenate(([0], np.cumsum(counts))), r, c, v)
+        indptr, r, c, v = self._stacked
+        sel = np.asarray(sel, dtype=np.intp)
+        counts = indptr[sel + 1] - indptr[sel]
+        pos = np.repeat(indptr[sel] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        return counts, r[pos], c[pos], v[pos]
+
     def row(self, i: int) -> SymCoeff:
         """Coefficient matrix of constraint i, counted as in the operator."""
-        entries, i = (self._eq, i) if i < self.num_eq else (self._ineq, i - self.num_eq)
-        indptr, r, c, v = entries.arrays()
-        s = slice(indptr[i], indptr[i + 1])
-        return SymCoeff(r[s], c[s], v[s])
+        return SymCoeff(*self.rows([i])[1:])
 
     def operator(self) -> sp.csr_matrix:
         """Stacked operator, equalities first: row i maps vec(M) to <K_i, M>.
@@ -206,10 +207,9 @@ class ConicProblem:
         twice). Built on first use and again after an append.
         """
         if self._operator is None:
-            (ep, *eq), (ip, *iq) = self._eq.arrays(), self._ineq.arrays()
-            r, c, v = (np.concatenate(pair) for pair in zip(eq, iq))
             n, m = self.block_order, self.num_eq + self.num_ineq
-            row = np.repeat(np.arange(m), np.concatenate([np.diff(ep), np.diff(ip)]))
+            counts, r, c, v = self.rows(np.arange(m))
+            row = np.repeat(np.arange(m), counts)
             off = r != c
             flat = np.concatenate([r * n + c, (c * n + r)[off]])
             self._operator = sp.csr_matrix(

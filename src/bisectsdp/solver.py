@@ -157,12 +157,8 @@ class _Data:
         self.c0 = p.obj_offset
         sel = np.concatenate([np.arange(self.me), self.me + np.asarray(ineq_idx, dtype=np.intp)])
         A = p.operator()[sel]
-        # the upper-triangle entries of each row, in (r, c) order
-        r, c = np.divmod(A.indices.astype(np.intp), n)
-        up = r <= c
-        row = np.repeat(np.arange(self.m), np.diff(A.indptr))[up]
-        r, c, v = r[up], c[up], A.data[up]
-        counts = np.bincount(row, minlength=self.m)
+        counts, r, c, v = p.rows(sel)
+        row = np.repeat(np.arange(self.m), counts)
         off = r != c
 
         norm = np.sqrt(_segment_sums(v**2 * np.where(off, 2.0, 1.0), counts))

@@ -115,6 +115,33 @@ def test_cut_validity_on_all_boolean_points():
         assert cut.coeff().inner(X) - cut.rhs() == pytest.approx(cut.evaluate(X), abs=1e-12)
 
 
+def test_every_cut_row_matches_its_evaluation():
+    # every triple at n = 5, k = 0 included; each row is read back both from
+    # coeff() and from the problem after append_cuts
+    n = 5
+    inst = BisectionInstance(gen_gnp(n, 0.5, 3), 3, 2)
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((n, n))
+    points = [X + X.T] + [np.outer(z, z) for z in itertools.product([0.0, 1.0], repeat=n)]
+    cuts = [
+        Cut(TRI_A, i, j, k)
+        for i, j in itertools.combinations(range(n), 2)
+        for k in range(n)
+        if k not in (i, j)
+    ] + [Cut(TRI_B, *t) for t in itertools.combinations(range(n), 3)]
+    p = build_new(inst, with_nonneg=False)
+    append_cuts(p, cuts)
+    for t, cut in enumerate(cuts):
+        row = p.row(p.num_eq + t)
+        assert len(row.vals) == (4 if cut.kind == TRI_A else 6)
+        for M in points:
+            assert cut.coeff().inner(M) - cut.rhs() == pytest.approx(cut.evaluate(M), abs=1e-12)
+            assert row.inner(M) - cut.rhs() == pytest.approx(cut.evaluate(M), abs=1e-12)
+    # z = (1, 1, 0, 0, 0) satisfies tri-a(1,2,0) with equality
+    z = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    assert Cut(TRI_A, 1, 2, 0).coeff().inner(np.outer(z, z)) == 0.0
+
+
 def test_append_cuts_semantics(gnp8):
     p = build_new(gnp8, with_nonneg=True)
     base = p.num_ineq

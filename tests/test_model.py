@@ -221,3 +221,26 @@ def test_problem_text_digest_is_pinned(gnp8, name, digest):
     # pins every row, label, entry order and value the builders produce
     text = problem_to_text(_gnp8_problems(gnp8)[name])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_ragged_batch_and_row_selection(gnp8):
+    p = ConicProblem(block_order=4, obj_matrix=np.zeros((4, 4)))
+    p.add_inequalities([0, 1, 2, 3, 0, 1], [1, 1, 3, 3, 0, 3], [0.5, 0.0, 2.0, 1.0, 1.0, -1.0],
+                       [0.0, 1.0, 2.0], ["a", "b", "c"], counts=[2, 3, 1])
+    counts, r, c, v = p.rows([2, 0, 1])
+    assert counts.tolist() == [1, 1, 3]  # the zero entry of row "a" is dropped
+    assert list(zip(r.tolist(), c.tolist(), v.tolist())) == [
+        (1, 3, -1.0), (0, 1, 0.5), (0, 0, 1.0), (2, 3, 2.0), (3, 3, 1.0)]
+    with pytest.raises(ValueError, match="same entry twice"):
+        p.add_inequalities([0, 0], [1, 1], 1.0, 0.0, ["d"])
+    with pytest.raises(ValueError, match="split"):
+        p.add_inequalities([0, 1, 2], [1, 1, 3], 1.0, 0.0, ["e", "f"], counts=[1, 1])
+    assert p.num_ineq == 3
+    q = build_new(gnp8, with_nonneg=True)
+    sel = [0, 5, 2, q.num_eq + 7, q.num_eq + q.num_ineq - 1]
+    counts, r, c, v = q.rows(sel)
+    ends = np.cumsum(counts)
+    for t, i in enumerate(sel):
+        k, s = q.row(i), slice(ends[t] - counts[t], ends[t])
+        assert (r[s].tolist(), c[s].tolist(), v[s].tolist()) == (
+            k.rows.tolist(), k.cols.tolist(), k.vals.tolist())
