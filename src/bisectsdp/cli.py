@@ -14,12 +14,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .cuts import _ROUND_RESIDUAL_LIMIT, LoopConfig, cutting_plane_loop
 from .graphs import BisectionInstance, InstanceFormatError, generate, parse_instance
 from .heuristic import TabuConfig, brute_force, tabu_search
-from .model import RelaxationKind, build_basic, build_new, build_wz
+from .model import build_basic, build_new, build_wz
 from .report import BoundReport, RoundTrace, ceil_bound, csv_header, csv_row
 from .solver import SolverConfig, SolverStatus, safe_lower_bound, solve
 

@@ -205,6 +205,12 @@ class LoopConfig:
     pool_cap_factor: int = 40
     solver: SolverConfig = field(default_factory=SolverConfig)
 
+    def __post_init__(self):
+        if self.max_rounds < 0:
+            raise ValueError(f"max_rounds must be nonnegative, got {self.max_rounds}")
+        if self.cuts_per_round is not None and self.cuts_per_round < 0:
+            raise ValueError(f"cuts_per_round must be nonnegative, got {self.cuts_per_round}")
+
 
 def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -> BoundReport:
     """Strengthen the order-n relaxation with separated triangle cuts.

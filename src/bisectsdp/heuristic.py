@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Assignment, BisectionInstance, adjacency, cut_value
+from .graphs import Assignment, BisectionInstance, adjacency
 
 __all__ = ["TabuConfig", "tabu_search", "brute_force", "swap_delta"]
 

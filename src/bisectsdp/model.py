@@ -317,8 +317,7 @@ def build_wz(inst: BisectionInstance) -> ConicProblem:
     The variable is B = [[1, y^T], [y, Y]] with y = diag(Y) imposed through
     the border equalities, so B PSD is the Schur form of Y - y y^T PSD.
     Indices 1..n address the part-1 block, n+1..2n the part-2 block.
-    This relaxation has no strictly feasible point; the solver detects the
-    induced stalling and regularizes (see solver module).
+    This relaxation has no strictly feasible point (see solver module).
     """
     n = inst.n
     m1, m2 = inst.m1, inst.m2

@@ -9,11 +9,15 @@ the Schur complement has one row per constraint.
 Degenerate models need care: the vector-lifted relaxation has no strictly
 feasible point, and the order-n relaxation loses its interior when the
 smaller part has size 1 (the pair inequalities are forced tight on
-average). The solver detects the resulting stall or divergence and retries
-once on a Slater-restored problem: the primal block is shifted by eps*I
-(rhs of every constraint moves by eps*tr of its coefficient) and every
-inequality gains an eps margin. Convergence is always measured against the
-original data, and the certified bound below never trusts the perturbation.
+average). The homogeneous self-dual embedding keeps such solves bounded,
+and these safety nets keep their Newton steps usable: the Cholesky factors
+of X and Z and the factor of the Schur complement each retry with an
+escalating diagonal shift, each Schur solve takes one refinement pass and
+each direction up to two against the full Newton system, a plain centred
+step replaces a corrected step that overshoots the cone, and up to three
+centrality correctors lengthen a short step. A solve that runs out of
+iterations returns its best iterate with status MAX_ITERS; the certified
+bound below never trusts the solver's state.
 
 When the inequality list is large (elementwise nonnegativity families grow
 as O(n^2)), the solver sifts: it repeatedly solves with a working subset of
@@ -50,9 +54,12 @@ __all__ = [
 # matrix products instead of outer-product accumulation in the Schur build.
 _DENSE_NNZ_FACTOR = 4
 
-_STALL_WINDOW = 40
-_STALL_IMPROVE = 0.9
-_SLATER_EPS = 1e-9
+_BLOCK_ORDER_CAP = 300
+# fraction of the distance to the cone boundary taken by each step
+_STEP_FRACTION = 0.98
+# above this many inequalities the solver sifts a working set
+_SIFT_THRESHOLD = 700
+_SIFT_MAX_PASSES = 60
 
 
 class SolverStatus(enum.Enum):
@@ -71,13 +78,6 @@ class SolverConfig:
     tol_dual: float = 1e-7
     tol_gap: float = 1e-7
     max_iters: int = 500
-    verbosity: int = 0
-    block_order_cap: int = 300
-    step_fraction: float = 0.98
-    sift_threshold: int = 700
-    sift_max_passes: int = 60
-    stall_window: int = _STALL_WINDOW
-    stall_improve: float = _STALL_IMPROVE
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -98,6 +98,7 @@ class ConicSolution:
     objective_dual: float
     residuals: tuple[float, float, float]
     iterations: int
+    # no solve perturbs its data; always False, kept for callers that read it
     regularized: bool = False
     message: str = ""
     iterates: list[np.ndarray] = field(default_factory=list)
@@ -166,7 +167,6 @@ class _Data:
         A.data = A.data * np.repeat(self.row_scale, np.diff(A.indptr))
         self.A = A
         vals = v * self.row_scale[row]
-        self.trA = _segment_sums(vals[~off], np.bincount(row[~off], minlength=self.m))
         ineq_rhs = np.asarray(p.ineq_rhs, dtype=float)[ineq_idx]
         self.rhs = np.concatenate([np.asarray(p.eq_rhs, dtype=float), ineq_rhs]) * self.row_scale
         self.b = self.rhs[: self.me]
@@ -273,22 +273,17 @@ def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
 # the interior-point iteration
 # ---------------------------------------------------------------------------
 
-def _ipm(data: _Data, cfg: SolverConfig, eps: float) -> ConicSolution:
+def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
     """Predictor-corrector iteration on the homogeneous self-dual embedding.
 
     The embedding carries (X, u; y, q; Z; tau, kappa) with the original
     optimum recovered at (X/tau, y/tau, ...). It keeps the dual bounded in
     embedding coordinates even when the dual supremum of a degenerate model
     is approached only in the limit, which is what makes the no-interior
-    relaxations solvable to near machine accuracy. eps > 0 solves the
-    Slater-restored perturbation; convergence is always judged on the
-    original right-hand sides.
+    relaxations solvable to near machine accuracy.
     """
     n, me, mi = data.n, data.me, data.mi
-    step_frac = cfg.step_fraction
-    b = data.b + eps * data.trA[:me]
-    h = data.h + eps * (data.trA[me:] + 1.0)
-    bh = np.concatenate([b, h])
+    bh = data.rhs
 
     scale_rhs = 1.0 + (np.abs(data.rhs).max() if data.m else 0.0)
     cnorm = 1.0 + np.linalg.norm(data.C)
@@ -305,7 +300,6 @@ def _ipm(data: _Data, cfg: SolverConfig, eps: float) -> ConicSolution:
 
     best = None
     best_score = np.inf
-    score_history: list[float] = []
     status = SolverStatus.MAX_ITERS
     message = ""
     iterates: list[np.ndarray] = []
@@ -341,11 +335,6 @@ def _ipm(data: _Data, cfg: SolverConfig, eps: float) -> ConicSolution:
             best = (Xs.copy(), y / tau, q / tau, pobj, dobj, (pinf, dinf, gap))
         if cfg.keep_iterates:
             iterates.append(Xs.copy())
-        if cfg.verbosity >= 2:
-            print(
-                f"  iter {it:3d}  pobj {pobj:+.8e}  dobj {dobj:+.8e}  "
-                f"pinf {pinf:.2e}  dinf {dinf:.2e}  gap {gap:.2e}  tau {tau:.2e}"
-            )
         if pinf <= cfg.tol_primal and dinf <= cfg.tol_dual and gap <= cfg.tol_gap:
             best = (Xs.copy(), y / tau, q / tau, pobj, dobj, (pinf, dinf, gap))
             status = SolverStatus.OPTIMAL
@@ -358,13 +347,6 @@ def _ipm(data: _Data, cfg: SolverConfig, eps: float) -> ConicSolution:
             status = SolverStatus.NUMERICAL_TROUBLE
             message = "infeasibility certificate (tau collapsed)"
             break
-        score_history.append(best_score)
-        if len(score_history) > cfg.stall_window:
-            prev = score_history[-cfg.stall_window - 1]
-            if best_score > cfg.stall_improve * prev:
-                status = SolverStatus.NUMERICAL_TROUBLE
-                message = "progress stalled"
-                break
 
         mu = (
             float(np.tensordot(X, Z)) + float(u @ q) + tau * kappa
@@ -401,7 +383,7 @@ def _ipm(data: _Data, cfg: SolverConfig, eps: float) -> ConicSolution:
 
         def raw_direction(rp_loc, rD_loc, rG_loc, Rxz, r_uq, rc_tau):
             # rD_loc None means exact zero (refinement passes): skip products
-            body = Rxz if rD_loc is None else Rxz - W @ rD_loc @ W
+            body = Rxz if rD_loc is None else Rxz - WrDW
             amr = data.apply(body)
             r0 = rp_loc - amr
             if mi:
@@ -495,11 +477,11 @@ def _ipm(data: _Data, cfg: SolverConfig, eps: float) -> ConicSolution:
         def max_alpha(dX_, du_, dZ_, dq_, dtau_, dkap_):
             return min(
                 1.0,
-                step_frac * _max_step_psd(Lx, dX_),
-                step_frac * _max_step_vec(u, du_),
-                step_frac * _max_step_psd(Lz, dZ_),
-                step_frac * _max_step_vec(q, dq_),
-                step_frac
+                _STEP_FRACTION * _max_step_psd(Lx, dX_),
+                _STEP_FRACTION * _max_step_vec(u, du_),
+                _STEP_FRACTION * _max_step_psd(Lz, dZ_),
+                _STEP_FRACTION * _max_step_vec(q, dq_),
+                _STEP_FRACTION
                 * _max_step_vec(np.array([tau, kappa]), np.array([dtau_, dkap_])),
             )
 
@@ -579,21 +561,14 @@ def _ipm(data: _Data, cfg: SolverConfig, eps: float) -> ConicSolution:
         objective_dual=dobj,
         residuals=res,
         iterations=it,
-        regularized=eps > 0.0,
         message=message,
         iterates=iterates,
     )
 
 
 def _solve_working(p: ConicProblem, cfg: SolverConfig, ineq_idx: np.ndarray) -> ConicSolution:
-    """Solve on a working inequality set; retry once with Slater restoration."""
-    data = _Data(p, ineq_idx)
-    sol = _ipm(data, cfg, eps=0.0)
-    if sol.status is not SolverStatus.OPTIMAL:
-        retry = _ipm(data, cfg, eps=_SLATER_EPS)
-        retry.message = (sol.message + "; retried with eps regularization").lstrip("; ")
-        if retry.status is SolverStatus.OPTIMAL or sum(retry.residuals) < sum(sol.residuals):
-            sol = retry
+    """Solve on a working inequality set; scatter its duals to all rows."""
+    sol = _ipm(_Data(p, ineq_idx), cfg)
     dual_full = np.zeros(p.num_ineq)
     if len(ineq_idx):
         dual_full[ineq_idx] = sol.dual_ineq
@@ -617,12 +592,12 @@ def solve(
     the (primal infeasibility, dual infeasibility, relative gap) triple.
     """
     cfg = cfg or SolverConfig()
-    if p.block_order > cfg.block_order_cap:
+    if p.block_order > _BLOCK_ORDER_CAP:
         raise UnsupportedProblem(
-            f"block order {p.block_order} exceeds cap {cfg.block_order_cap}"
+            f"block order {p.block_order} exceeds cap {_BLOCK_ORDER_CAP}"
         )
     mi = p.num_ineq
-    if mi <= cfg.sift_threshold:
+    if mi <= _SIFT_THRESHOLD:
         return _solve_working(p, cfg, np.arange(mi))
 
     h = np.array(p.ineq_rhs)
@@ -637,7 +612,7 @@ def solve(
         working = working[(working >= 0) & (working < mi)]
     sol = None
     batch = max(4 * p.block_order, 400)
-    for _ in range(cfg.sift_max_passes):
+    for _ in range(_SIFT_MAX_PASSES):
         sol = _solve_working(p, cfg, working)
         viol = p.ineq_violations(sol.primal) / scale
         cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol_primal), working)

@@ -48,7 +48,7 @@ TIGHT = dict(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9)
 def wz_config():
     # degenerate lifted solves converge slowly along a boundary ray and
     # need the large budget; see the solver module docstring
-    return SolverConfig(max_iters=2500, stall_window=500, **TIGHT)
+    return SolverConfig(max_iters=2500, **TIGHT)
 
 
 def _passline(num, text):

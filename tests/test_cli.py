@@ -96,6 +96,16 @@ def test_cuts_require_new_relaxation(capsys):
     assert "relaxation new" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-rounds", "--cuts-per-round"])
+def test_cuts_reject_negative_counts(capsys, flag):
+    code, _, err = run(
+        capsys, "solve", "--generate", "pappus", "--m", "10,8", "--cuts", flag, "-1"
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_instance_file_flow(tmp_path, capsys):
     path = tmp_path / "tiny.txt"
     path.write_text("4 3 3 1\n1 2\n1 3\n1 4\n")

@@ -29,9 +29,7 @@ def tight():
 
 
 def wz_cfg():
-    return SolverConfig(
-        tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9, max_iters=1200, stall_window=200
-    )
+    return SolverConfig(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9, max_iters=1200)
 
 
 def test_lift_integer_point_exact(gnp8):
