@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .cuts import _ROUND_RESIDUAL_LIMIT, LoopConfig, cutting_plane_loop
+from .cuts import LoopConfig, cutting_plane_loop
 from .graphs import BisectionInstance, InstanceFormatError, generate, parse_instance
 from .heuristic import TabuConfig, brute_force, tabu_search
 from .model import build_basic, build_new, build_wz
@@ -107,7 +107,7 @@ def run_solve(args) -> int:
             total_wall_time=time.perf_counter() - t0,
         )
         report.values[args.relaxation.replace("-", "_")] = sb.value
-        ok = sol.status is SolverStatus.OPTIMAL or max(sol.residuals) <= _ROUND_RESIDUAL_LIMIT
+        ok = sol.usable()
 
     if args.ub != "none":
         if args.ub == "tabu":
@@ -144,8 +144,7 @@ def run_compare(args) -> int:
         sol = solve(_BUILDERS[name](inst), cfg)
         values[name] = float(sol.objective_primal)
         statuses[name] = sol.status.value
-        if sol.status is not SolverStatus.OPTIMAL and max(sol.residuals) > _ROUND_RESIDUAL_LIMIT:
-            ok = False
+        ok = ok and sol.usable()
 
     checks: dict[str, bool] = {}
     if "basic" in values and "new" in values:

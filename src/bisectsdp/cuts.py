@@ -23,16 +23,12 @@ import numpy as np
 from .graphs import BisectionInstance
 from .model import ConicProblem, RelaxationKind, SymCoeff, build_new
 from .report import BoundReport, RoundTrace, ceil_bound
-from .solver import SolverConfig, SolverStatus, safe_lower_bound, solve
+from .solver import SolverConfig, safe_lower_bound, solve
 
-__all__ = ["Cut", "CutPool", "LoopConfig", "separate", "append_cuts", "cutting_plane_loop"]
+__all__ = ["Cut", "LoopConfig", "separate", "append_cuts", "cutting_plane_loop"]
 
 TRI_A = "tri-a"
 TRI_B = "tri-b"
-
-# a failed solver round ends the loop; "failed" means the returned iterate
-# is too far from optimality for its bound to be worth iterating on
-_ROUND_RESIDUAL_LIMIT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -79,34 +75,6 @@ class Cut:
         return float(
             X[i, i] + X[j, j] + X[k, k] - X[i, j] - X[i, k] - X[j, k] - 1.0
         )
-
-
-class CutPool:
-    """Cuts accumulated across rounds, deduplicated, capped."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self._keys: set[tuple] = set()
-        self.cuts: list[Cut] = []
-        self.round_added: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    def filter_new(self, cuts: list[Cut]) -> list[Cut]:
-        fresh = [c for c in cuts if c.key() not in self._keys]
-        room = self.cap - len(self.cuts)
-        return fresh[: max(room, 0)]
-
-    def add(self, cuts: list[Cut], round_index: int) -> None:
-        for c in cuts:
-            if c.key() in self._keys:
-                continue
-            if len(self.cuts) >= self.cap:
-                break
-            self._keys.add(c.key())
-            self.cuts.append(c)
-            self.round_added.append(round_index)
 
 
 def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
@@ -170,11 +138,12 @@ def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
     ]
 
 
-def append_cuts(p: ConicProblem, cuts: list[Cut]) -> ConicProblem:
+def append_cuts(p: ConicProblem, cuts: list[Cut]) -> int:
     """Append cut rows to an order-n relaxation in place, as one batch.
 
     Cuts whose row is already in the problem, or earlier in the list, are
-    skipped.
+    skipped: the problem's row labels are the only record of which cuts it
+    holds. Returns the number of rows appended.
     """
     if p.kind not in (RelaxationKind.NEW, RelaxationKind.NEW_BARE):
         raise ValueError("cuts apply to the order-n relaxation only")
@@ -193,7 +162,7 @@ def append_cuts(p: ConicProblem, cuts: list[Cut]) -> ConicProblem:
             np.concatenate(rs), np.concatenate(cs), np.concatenate(vs), rhs, list(fresh),
             counts=list(map(len, vs)),
         )
-    return p
+    return len(new)
 
 
 @dataclass
@@ -202,7 +171,6 @@ class LoopConfig:
     cuts_per_round: int | None = None  # defaults to 2n
     eps: float = 1e-6
     stall_tol: float = 1e-5
-    pool_cap_factor: int = 40
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -216,17 +184,18 @@ def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -
     """Strengthen the order-n relaxation with separated triangle cuts.
 
     Round 0 solves the relaxation with its elementwise families; each later
-    round separates on the current primal matrix, appends at most
-    ``cuts_per_round`` violated cuts, and re-solves from scratch. Stops when
-    separation finds nothing, the round budget is exhausted, the certified
-    bound stalls for two consecutive rounds, or a round fails. The certified
-    bound is the max of the per-round safe bounds, so it is valid even if
-    the last solve was poor.
+    round separates on the current primal matrix, appends those of the
+    ``cuts_per_round`` most violated cuts that are not rows yet, and
+    re-solves from scratch. Stops when a round appends no row, the round
+    budget is exhausted, the certified bound stalls for two consecutive
+    rounds, or a round's solve is not usable (see ``ConicSolution.usable``).
+    Each round records the rows appended before it and since round 0. The
+    certified bound is the max of the per-round safe bounds, so it is valid
+    even if the last solve was poor.
     """
     cfg = cfg or LoopConfig()
     n = inst.n
     per_round = cfg.cuts_per_round if cfg.cuts_per_round is not None else 2 * n
-    pool = CutPool(cap=cfg.pool_cap_factor * n)
     p = build_new(inst, with_nonneg=True)
 
     report = BoundReport(
@@ -247,7 +216,7 @@ def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -
     t_start = time.perf_counter()
     certified = -np.inf
     stalled_rounds = 0
-    added = 0
+    added = total = 0
     active_hint = None
 
     for rnd in range(cfg.max_rounds + 1):
@@ -260,7 +229,7 @@ def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -
             RoundTrace(
                 round=rnd,
                 cuts_added=added,
-                cuts_total=len(pool),
+                cuts_total=total,
                 raw_bound=sol.objective_primal,
                 safe_bound=sb.value,
                 solver_status=sol.status.value,
@@ -269,10 +238,7 @@ def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -
         )
         improvement = sb.value - certified
         certified = max(certified, sb.value)
-        failed = sol.status is not SolverStatus.OPTIMAL and (
-            not np.isfinite(max(sol.residuals)) or max(sol.residuals) > _ROUND_RESIDUAL_LIMIT
-        )
-        if failed or rnd == cfg.max_rounds:
+        if not sol.usable() or rnd == cfg.max_rounds:
             break
         if rnd > 0 and improvement < cfg.stall_tol * (1.0 + abs(certified)):
             stalled_rounds += 1
@@ -280,13 +246,10 @@ def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -
                 break
         else:
             stalled_rounds = 0
-        cuts = separate(sol.primal, limit=per_round, eps=cfg.eps)
-        cuts = pool.filter_new(cuts)
-        if not cuts:
+        added = append_cuts(p, separate(sol.primal, limit=per_round, eps=cfg.eps))
+        if not added:
             break
-        append_cuts(p, cuts)
-        pool.add(cuts, round_index=rnd + 1)
-        added = len(cuts)
+        total += added
 
     report.certified_lower_bound = float(certified)
     report.ceiled_lower_bound = ceil_bound(certified, inst.graph.integral_weights)

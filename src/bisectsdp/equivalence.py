@@ -11,12 +11,14 @@ domination relation between the bounds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cuts import TRI_A, TRI_B, Cut
 from .graphs import BisectionInstance
-from .model import ConicProblem, SymCoeff, build_new, build_wz
+from .model import ConicProblem, RelaxationKind, add_pair_facets, build_new, build_wz
 from .solver import min_eigenvalue
 
 __all__ = [
@@ -27,7 +29,7 @@ __all__ = [
     "project_wz_to_basic",
     "check_linking_identities",
     "check_bordered_psd_equivalence",
-    "full_lifted_facet_rows",
+    "add_lifted_facets",
 ]
 
 
@@ -63,6 +65,15 @@ def feasibility_report(p: ConicProblem, M: np.ndarray, tol: float = 1e-6) -> Fea
     return FeasibilityReport(fams, lam, tol, passed)
 
 
+def _require_feasible(p: ConicProblem, M: np.ndarray, tol: float, relaxation: str) -> None:
+    rep = feasibility_report(p, M, tol)
+    if not rep.passed:
+        raise ValueError(
+            f"input is not feasible for the {relaxation} relaxation within {tol}: "
+            f"worst residual {rep.worst():.3e}, min eig {rep.min_eigenvalue:.3e}"
+        )
+
+
 def _split_bordered(B: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Strip the border of a (2n+1)-order matrix, or accept a plain 2n one."""
     N = B.shape[0]
@@ -81,12 +92,7 @@ def lift_new_to_wz(X: np.ndarray, inst: BisectionInstance, tol: float = 1e-6) ->
     """
     X = np.asarray(X, dtype=float)
     n = inst.n
-    rep = feasibility_report(build_new(inst, with_nonneg=True), X, tol)
-    if not rep.passed:
-        raise ValueError(
-            f"input is not feasible for the order-n relaxation within {tol}: "
-            f"worst residual {rep.worst():.3e}, min eig {rep.min_eigenvalue:.3e}"
-        )
+    _require_feasible(build_new(inst, with_nonneg=True), X, tol, "order-n")
     x = np.diag(X).copy()
     J = np.ones((n, n))
     Y11 = X
@@ -111,12 +117,7 @@ def project_wz_to_new(B: np.ndarray, inst: BisectionInstance, tol: float = 1e-6)
     amplification of the input residual, with the same objective value.
     """
     B = np.asarray(B, dtype=float)
-    rep = feasibility_report(build_wz(inst), B, tol)
-    if not rep.passed:
-        raise ValueError(
-            f"input is not feasible for the vector-lifted relaxation within {tol}: "
-            f"worst residual {rep.worst():.3e}, min eig {rep.min_eigenvalue:.3e}"
-        )
+    _require_feasible(build_wz(inst), B, tol, "vector-lifted")
     n, _, Y = _split_bordered(B)
     return Y[:n, :n].copy()
 
@@ -129,12 +130,7 @@ def project_wz_to_basic(B: np.ndarray, inst: BisectionInstance, tol: float = 1e-
     vector-lifted objective of B.
     """
     B = np.asarray(B, dtype=float)
-    rep = feasibility_report(build_wz(inst), B, tol)
-    if not rep.passed:
-        raise ValueError(
-            f"input is not feasible for the vector-lifted relaxation within {tol}: "
-            f"worst residual {rep.worst():.3e}, min eig {rep.min_eigenvalue:.3e}"
-        )
+    _require_feasible(build_wz(inst), B, tol, "vector-lifted")
     n, _, Y = _split_bordered(B)
     return Y[:n, :n] + Y[n:, n:]
 
@@ -193,59 +189,24 @@ def check_bordered_psd_equivalence(X: np.ndarray, tol: float = 1e-8) -> bool:
     return side_bordered == side_plain
 
 
-def full_lifted_facet_rows(n: int) -> list[tuple[SymCoeff, float, str]]:
-    """Every pair/triangle facet on the 2n lifted indices, as inequality rows
-    for the bordered problem. Intended for redundancy experiments only; the
-    production path never generates these."""
-    rows: list[tuple[SymCoeff, float, str]] = []
-    N2 = 2 * n
-
-    def E(a: int, b: int, v: float) -> tuple[tuple[int, int], float]:
-        # +1 offset for the border row/column
-        return (min(a, b) + 1, max(a, b) + 1), v
-
-    for i in range(N2):
-        for j in range(N2):
-            if i == j:
-                continue
-            entries: dict[tuple[int, int], float] = {}
-            k_, v = E(i, j, 0.5)
-            entries[k_] = entries.get(k_, 0.0) + v
-            k_, v = E(i, i, -1.0)
-            entries[k_] = entries.get(k_, 0.0) + v
-            rows.append((SymCoeff.from_entries(entries), 0.0, f"lift-ub({i},{j})"))
-    for i in range(N2):
-        for j in range(i + 1, N2):
-            entries = {}
-            for (a, b), v in (E(i, i, 1.0), E(j, j, 1.0), E(i, j, -0.5)):
-                entries[(a, b)] = entries.get((a, b), 0.0) + v
-            rows.append((SymCoeff.from_entries(entries), 1.0, f"lift-pair({i},{j})"))
-    for i in range(N2):
-        for j in range(N2):
-            for k in range(N2):
-                if i >= j or k == i or k == j:
-                    continue
-                entries = {}
-                for (a, b), v in (
-                    E(i, k, 0.5),
-                    E(j, k, 0.5),
-                    E(k, k, -1.0),
-                    E(i, j, -0.5),
-                ):
-                    entries[(a, b)] = entries.get((a, b), 0.0) + v
-                rows.append((SymCoeff.from_entries(entries), 0.0, f"lift-tri-a({i},{j},{k})"))
-    for i in range(N2):
-        for j in range(i + 1, N2):
-            for k in range(j + 1, N2):
-                entries = {}
-                for (a, b), v in (
-                    E(i, i, 1.0),
-                    E(j, j, 1.0),
-                    E(k, k, 1.0),
-                    E(i, j, -0.5),
-                    E(i, k, -0.5),
-                    E(j, k, -0.5),
-                ):
-                    entries[(a, b)] = entries.get((a, b), 0.0) + v
-                rows.append((SymCoeff.from_entries(entries), 1.0, f"lift-tri-b({i},{j},{k})"))
-    return rows
+def add_lifted_facets(p: ConicProblem) -> None:
+    """Append every pair/triangle facet on the 2n lifted indices of a
+    vector-lifted problem, as the batches lift-ub, lift-pair, lift-tri-a and
+    lift-tri-b. Intended for redundancy experiments only; the production
+    path never generates these."""
+    if p.kind is not RelaxationKind.WZ:
+        raise ValueError("lifted facets apply to the vector-lifted relaxation only")
+    N2 = p.block_order - 1
+    # +1 offset for the border row/column
+    add_pair_facets(p, N2, "lift-ub", "lift-pair", offset=1)
+    tri_a = [
+        Cut(TRI_A, i, j, k)
+        for i, j in itertools.combinations(range(N2), 2)
+        for k in range(N2)
+        if k not in (i, j)
+    ]
+    tri_b = [Cut(TRI_B, *t) for t in itertools.combinations(range(N2), 3)]
+    for family, cuts in (("lift-tri-a", tri_a), ("lift-tri-b", tri_b)):
+        r, c, v = (np.concatenate(a) for a in zip(*(cut.entries() for cut in cuts)))
+        labels = [f"{family}({cut.i},{cut.j},{cut.k})" for cut in cuts]
+        p.add_inequalities(r + 1, c + 1, v, [cut.rhs() for cut in cuts], labels)

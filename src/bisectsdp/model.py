@@ -299,16 +299,27 @@ def build_new(inst: BisectionInstance, with_nonneg: bool = True) -> ConicProblem
         # off-diagonal coefficients are 0.5 so each scalar row reads in
         # entry units: <K, X> doubles the off-diagonal contribution
         p.add_inequalities(U, V, np.where(U == V, -1.0, -0.5), 0.0, _labels("nonneg", U, V))
-        # X_ab <= X_ii for every ordered pair (i, j), oriented by the
-        # bounding diagonal index i
-        off = I != J
-        r, c = np.column_stack([lo, I])[off], np.column_stack([hi, I])[off]
-        p.add_inequalities(r, c, [0.5, -1.0], 0.0, _labels("bqp-ub", I[off], J[off]))
-        I, J = np.triu_indices(n, 1)
-        r, c = np.column_stack([I, I, J]), np.column_stack([I, J, J])
-        p.add_inequalities(r, c, [1.0, -0.5, 1.0], 1.0, _labels("bqp-tri0", I, J))
+        add_pair_facets(p, n, "bqp-ub", "bqp-tri0")
         p.add_inequalities(idx, idx, 1.0, 1.0, _labels("bqp-diag", idx))
     return p
+
+
+def add_pair_facets(p: ConicProblem, n: int, ub_family: str, pair_family: str, offset: int = 0) -> None:
+    """Append the pair facets on the indices offset..offset+n-1 as two batches.
+
+    ``ub_family(i,j)``: X_ij <= X_ii for every ordered pair i != j, oriented
+    by the bounding diagonal index i. ``pair_family(i,j)``: X_ii + X_jj -
+    X_ij <= 1 for i < j. Labels carry the unshifted indices; off-diagonal
+    coefficients are 0.5 because <K, X> counts them twice.
+    """
+    I, J = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    off = I != J
+    I, J = I[off], J[off]
+    r, c = np.column_stack([np.minimum(I, J), I]), np.column_stack([np.maximum(I, J), I])
+    p.add_inequalities(r + offset, c + offset, [0.5, -1.0], 0.0, _labels(ub_family, I, J))
+    I, J = np.triu_indices(n, 1)
+    r, c = np.column_stack([I, I, J]), np.column_stack([I, J, J])
+    p.add_inequalities(r + offset, c + offset, [1.0, -0.5, 1.0], 1.0, _labels(pair_family, I, J))
 
 
 def build_wz(inst: BisectionInstance) -> ConicProblem:

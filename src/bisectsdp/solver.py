@@ -60,6 +60,9 @@ _STEP_FRACTION = 0.98
 # above this many inequalities the solver sifts a working set
 _SIFT_THRESHOLD = 700
 _SIFT_MAX_PASSES = 60
+# a stopped solve whose residuals exceed this is too far from optimality for
+# its bound to be worth iterating on
+_USABLE_RESIDUAL_LIMIT = 1e-4
 
 
 class SolverStatus(enum.Enum):
@@ -102,6 +105,10 @@ class ConicSolution:
     regularized: bool = False
     message: str = ""
     iterates: list[np.ndarray] = field(default_factory=list)
+
+    def usable(self) -> bool:
+        """Optimal, or stopped with every residual at most 1e-4."""
+        return self.status is SolverStatus.OPTIMAL or max(self.residuals) <= _USABLE_RESIDUAL_LIMIT
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from bisectsdp import (
     tabu_search,
 )
 from bisectsdp.cuts import TRI_A, TRI_B
-from bisectsdp.equivalence import full_lifted_facet_rows
+from bisectsdp.equivalence import add_lifted_facets
 from conftest import enumerate_min_cut
 
 TIGHT = dict(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9)
@@ -157,8 +157,7 @@ def test_criterion4_redundancy():
         v_new = solve(p_new, SolverConfig(**TIGHT)).objective_primal
 
         p_wz = build_wz(inst)
-        for coeff, rhs, label in full_lifted_facet_rows(n):
-            p_wz.add_inequality(coeff, rhs, label)
+        add_lifted_facets(p_wz)
         v_wz = solve(p_wz, wz_config()).objective_primal
         rel = abs(v_new - v_wz) / (1.0 + abs(v_new))
         worst = max(worst, rel)

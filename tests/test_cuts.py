@@ -6,7 +6,6 @@ import pytest
 from bisectsdp import (
     BisectionInstance,
     Cut,
-    CutPool,
     LoopConfig,
     SolverConfig,
     append_cuts,
@@ -145,17 +144,19 @@ def test_every_cut_row_matches_its_evaluation():
 def test_append_cuts_semantics(gnp8):
     p = build_new(gnp8, with_nonneg=True)
     base = p.num_ineq
-    append_cuts(p, [])
+    assert append_cuts(p, []) == 0
     assert p.num_ineq == base
     c = Cut(TRI_A, 0, 1, 2)
-    append_cuts(p, [c])
-    append_cuts(p, [c])
+    assert append_cuts(p, [c]) == 1
+    assert append_cuts(p, [c]) == 0
     assert p.num_ineq == base + 1
+    assert append_cuts(p, [c, Cut(TRI_B, 0, 1, 2), Cut(TRI_B, 0, 1, 2)]) == 1
+    assert p.num_ineq == base + 2
     with pytest.raises(IndexError):
         append_cuts(p, [Cut(TRI_B, 0, 1, 99)])
     with pytest.raises(ValueError, match="not distinct"):
         append_cuts(p, [Cut(TRI_A, 0, 1, 1)])
-    assert p.num_ineq == base + 1
+    assert p.num_ineq == base + 2
     wz = build_wz(gnp8)
     with pytest.raises(ValueError):
         append_cuts(wz, [c])
@@ -169,16 +170,6 @@ def test_append_many_cuts_count(gnp8):
     cuts = [c for c in cuts][: 2 * gnp8.n]
     append_cuts(p, cuts)
     assert p.num_ineq <= base + 2 * gnp8.n
-
-
-def test_cut_pool_cap_and_dedup():
-    pool = CutPool(cap=3)
-    cuts = [Cut(TRI_B, 0, 1, k) for k in (2, 3, 4, 5)]
-    fresh = pool.filter_new(cuts)
-    assert len(fresh) == 3
-    pool.add(fresh, round_index=1)
-    assert len(pool) == 3
-    assert pool.filter_new(cuts) == []
 
 
 def test_loop_on_empty_graph():
@@ -217,6 +208,8 @@ def test_loop_respects_round_and_cut_budgets():
     rep = cutting_plane_loop(inst, cfg)
     assert len(rep.rounds) <= 3
     assert all(t.cuts_added <= 7 for t in rep.rounds)
+    running = list(itertools.accumulate(t.cuts_added for t in rep.rounds))
+    assert [t.cuts_total for t in rep.rounds] == running
 
 
 def test_loop_desargues_reproduces_published_row():

@@ -183,7 +183,7 @@ def test_redundancy_of_full_facet_family_small():
     # adding every pair/triangle facet to the lifted model gains exactly as
     # much as adding the order-n triangle cuts to the small model
     from bisectsdp.cuts import Cut, append_cuts
-    from bisectsdp.equivalence import full_lifted_facet_rows
+    from bisectsdp.equivalence import add_lifted_facets
     import itertools
 
     inst = BisectionInstance(gen_gnp(6, 0.6, 31), 4, 2)
@@ -200,8 +200,7 @@ def test_redundancy_of_full_facet_family_small():
     v_new = solve(p_new, tight()).objective_primal
 
     p_wz = build_wz(inst)
-    for coeff, rhs, label in full_lifted_facet_rows(n):
-        p_wz.add_inequality(coeff, rhs, label)
+    add_lifted_facets(p_wz)
     sol_wz = solve(p_wz, wz_cfg())
     v_wz = sol_wz.objective_primal
     assert abs(v_new - v_wz) <= 1e-5 * (1 + abs(v_new))

@@ -21,6 +21,7 @@ from bisectsdp import (
     laplacian,
     strictly_feasible_point,
 )
+from bisectsdp.equivalence import add_lifted_facets
 from bisectsdp.model import SymCoeff, problem_from_text, problem_to_text
 
 
@@ -215,12 +216,24 @@ def test_operator_rows_equal_exact_row_sums(gnp8):
         ("new-bare", "7daaed5bfa41a7c0170df2b913d37906258dbb06226594de363afe9d55a8fde5"),
         ("wz", "5cebb116f2c87e308557674c7b66c19a4f83f6af8f91654b5eef0fd6e8e7aff0"),
         ("new+cuts", "cfd15ed89890d9a16240304896cf20c996b9dd08b6eb77ba1407b9c9ee5cc560"),
+        ("wz+lifted", "e0e68290378d5c652fa0c880687ca95dd39af6814dd7c034fff0a3b2093db943"),
     ],
 )
 def test_problem_text_digest_is_pinned(gnp8, name, digest):
-    # pins every row, label, entry order and value the builders produce
-    text = problem_to_text(_gnp8_problems(gnp8)[name])
+    # pins every row, label, entry order and value the builders produce; the
+    # lifted facet families at n = 5 add 670 inequality rows
+    problems = _gnp8_problems(gnp8)
+    problems["wz+lifted"] = lifted = build_wz(BisectionInstance(gen_gnp(5, 0.5, 3), 3, 2))
+    add_lifted_facets(lifted)
+    text = problem_to_text(problems[name])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_lifted_facets_need_the_lifted_relaxation(gnp8):
+    p = build_new(gnp8, with_nonneg=True)
+    with pytest.raises(ValueError, match="vector-lifted"):
+        add_lifted_facets(p)
+    assert p.num_ineq == build_new(gnp8, with_nonneg=True).num_ineq
 
 
 def test_ragged_batch_and_row_selection(gnp8):
