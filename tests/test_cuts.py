@@ -150,12 +150,12 @@ def test_append_cuts_semantics(gnp8):
     assert append_cuts(p, [c]) == 1
     assert append_cuts(p, [c]) == 0
     assert p.num_ineq == base + 1
-    assert append_cuts(p, [c, Cut(TRI_B, 0, 1, 2), Cut(TRI_B, 0, 1, 2)]) == 1
-    assert p.num_ineq == base + 2
     with pytest.raises(IndexError):
         append_cuts(p, [Cut(TRI_B, 0, 1, 99)])
     with pytest.raises(ValueError, match="not distinct"):
         append_cuts(p, [Cut(TRI_A, 0, 1, 1)])
+    assert p.num_ineq == base + 1
+    assert append_cuts(p, [c, Cut(TRI_B, 0, 1, 2), Cut(TRI_B, 0, 1, 2)]) == 1
     assert p.num_ineq == base + 2
     wz = build_wz(gnp8)
     with pytest.raises(ValueError):
@@ -186,6 +186,9 @@ def test_loop_is_deterministic():
     r2 = cutting_plane_loop(inst, cfg)
     assert [t.safe_bound for t in r1.rounds] == [t.safe_bound for t in r2.rounds]
     assert [t.cuts_added for t in r1.rounds] == [t.cuts_added for t in r2.rounds]
+    # three rounds: cuts_total is the running sum of the rows appended
+    running = list(itertools.accumulate(t.cuts_added for t in r1.rounds))
+    assert len(r1.rounds) == 3 and [t.cuts_total for t in r1.rounds] == running
 
 
 def test_loop_bounds_are_monotone_and_certified():
@@ -208,8 +211,6 @@ def test_loop_respects_round_and_cut_budgets():
     rep = cutting_plane_loop(inst, cfg)
     assert len(rep.rounds) <= 3
     assert all(t.cuts_added <= 7 for t in rep.rounds)
-    running = list(itertools.accumulate(t.cuts_added for t in rep.rounds))
-    assert [t.cuts_total for t in rep.rounds] == running
 
 
 def test_loop_desargues_reproduces_published_row():
