@@ -41,6 +41,7 @@ __all__ = [
     "build_basic",
     "build_new",
     "build_wz",
+    "wz_face",
     "strictly_feasible_point",
     "integer_point",
     "problem_to_text",
@@ -93,15 +94,30 @@ class SymCoeff:
 
 @dataclass
 class ConicProblem:
-    """One PSD block plus linear equalities and appendable inequalities."""
+    """One PSD block plus linear equalities and appendable inequalities.
+
+    ``face`` is an optional orthonormal N x k basis whose range holds the
+    range of every feasible matrix; the solver then works on M = V R V^T
+    with R of order k. The builder that sets it vouches that the equalities
+    force this (see ``solver.safe_lower_bound``); it is not serialized.
+    """
 
     block_order: int
     obj_matrix: np.ndarray
     obj_offset: float = 0.0
     kind: RelaxationKind | None = None
     trace_constant: float | None = None
+    face: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.face is not None:
+            V = np.asarray(self.face, dtype=float)
+            k = V.shape[1] if V.ndim == 2 else -1
+            if V.shape[0] != self.block_order or not 0 < k <= self.block_order:
+                raise ValueError(f"face must be {self.block_order} x k, got shape {V.shape}")
+            if np.abs(V.T @ V - np.eye(k)).max() > 1e-12:
+                raise ValueError("face columns must be orthonormal")
+            self.face = V
         self.eq_rhs: list[float] = []
         self.eq_labels: list[str] = []
         self.ineq_rhs: list[float] = []
@@ -328,7 +344,11 @@ def build_wz(inst: BisectionInstance) -> ConicProblem:
     The variable is B = [[1, y^T], [y, Y]] with y = diag(Y) imposed through
     the border equalities, so B PSD is the Schur form of Y - y y^T PSD.
     Indices 1..n address the part-1 block, n+1..2n the part-2 block.
-    This relaxation has no strictly feasible point (see solver module).
+
+    The equalities force B v = 0 for the n+1 vectors of :func:`wz_face`, so
+    no feasible B is positive definite. The problem carries that face, and
+    the solver works on B = V R V^T with R of order n, where it has an
+    interior (the projected relaxation of Wolkowicz and Zhao, 1999).
     """
     n = inst.n
     m1, m2 = inst.m1, inst.m2
@@ -343,6 +363,7 @@ def build_wz(inst: BisectionInstance) -> ConicProblem:
         obj_offset=0.0,
         kind=RelaxationKind.WZ,
         trace_constant=float(n + 1),
+        face=wz_face(n, m1, m2),
     )
     idx1 = np.arange(1, n + 1)
     idx2 = idx1 + n
@@ -361,6 +382,28 @@ def build_wz(inst: BisectionInstance) -> ConicProblem:
     v = np.where(I == J, -1.0, -0.5)
     p.add_inequalities(I + 1, J + 1, v, 0.0, _labels("nonneg", I, J))
     return p
+
+
+def wz_face(n: int, m1: int, m2: int) -> np.ndarray:
+    """Orthonormal (2n+1) x n basis of the face that holds every feasible
+    bordered matrix of the vector-lifted relaxation.
+
+    A lifted point (1, z, e - z) with e'z = m1 is orthogonal to the n+1
+    exposing vectors (-m1, e, 0) and (-1, e_i, e_i). Their orthogonal
+    complement is spanned by (1, (m1/n) e, (m2/n) e) and (0, q, -q) for q
+    in an orthonormal (Helmert) basis of the complement of e.
+    """
+    if m1 + m2 != n:
+        raise ValueError(f"part sizes {m1} + {m2} do not add up to n = {n}")
+    # column j-1 of the Helmert basis: (1, ..., 1, -j, 0, ..., 0) / sqrt(j (j + 1))
+    i, j = np.arange(n)[:, None], np.arange(1, n)
+    Q = (np.where(i < j, 1.0, 0.0) - np.where(i == j, j, 0.0)) / np.sqrt(j * (j + 1.0))
+    V = np.zeros((2 * n + 1, n))
+    V[:, 0] = np.concatenate(([1.0], np.full(n, m1 / n), np.full(n, m2 / n)))
+    V[:, 0] /= np.linalg.norm(V[:, 0])
+    V[1 : n + 1, 1:] = Q / np.sqrt(2.0)
+    V[n + 1 :, 1:] = -Q / np.sqrt(2.0)
+    return V
 
 
 def strictly_feasible_point(inst: BisectionInstance) -> np.ndarray:

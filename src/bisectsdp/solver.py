@@ -6,18 +6,25 @@ inequalities handled through nonnegative slacks. Problems in this package
 are small (block order <= 300) and dense, so all factorizations are dense;
 the Schur complement has one row per constraint.
 
-Degenerate models need care: the vector-lifted relaxation has no strictly
-feasible point, and the order-n relaxation loses its interior when the
-smaller part has size 1 (the pair inequalities are forced tight on
-average). The homogeneous self-dual embedding keeps such solves bounded,
-and these safety nets keep their Newton steps usable: the Cholesky factors
-of X and Z and the factor of the Schur complement each retry with an
-escalating diagonal shift, each Schur solve takes one refinement pass and
-each direction up to two against the full Newton system, a plain centred
-step replaces a corrected step that overshoots the cone, and up to three
-centrality correctors lengthen a short step. A solve that runs out of
-iterations returns its best iterate with status MAX_ITERS; the certified
-bound below never trusts the solver's state.
+A problem with a face V (the vector-lifted relaxation, whose equalities
+force every feasible matrix into range(V)) is solved on R with M = V R V^T,
+where it has an interior. A presolve then drops the equalities the face
+makes dependent and the inequalities the kept equalities fix to a
+constant; on every problem it drops consistent rows with no entries.
+Dropped rows get multiplier 0, and a row that contradicts the kept ones is
+a ValueError.
+
+Degenerate models still need care: the order-n relaxation loses its
+interior when the smaller part has size 1 (the pair inequalities are
+forced tight on average). The homogeneous self-dual embedding keeps such
+solves bounded, and these safety nets keep their Newton steps usable: the
+Cholesky factors of X and Z and the factor of the Schur complement each
+retry with an escalating diagonal shift, each Schur solve takes one
+refinement pass and each direction up to two against the full Newton
+system, a plain centred step replaces a corrected step that overshoots the
+cone, and up to three centrality correctors lengthen a short step. A solve
+that runs out of iterations returns its best iterate with status
+MAX_ITERS; the certified bound below never trusts the solver's state.
 
 When the inequality list is large (elementwise nonnegativity families grow
 as O(n^2)), the solver sifts: it repeatedly solves with a working subset of
@@ -152,55 +159,93 @@ class _Data:
     """Equilibrated row slice of a problem's operator (equalities first).
 
     Rows are scaled to unit Frobenius norm; ``row_scale`` maps the scaled
-    multipliers back to the original problem's multipliers.
+    multipliers back to the original problem's multipliers. Rows that the
+    presolve drops are missing from ``eq_idx``/``ineq_idx``.
+
+    With a face V (N x k) the variable is R of order k and M = V R V^T: row
+    i is V^T K_i V, applied through the order-N operator, and norms are
+    those of the reduced rows.
     """
 
     def __init__(self, p: ConicProblem, ineq_idx: np.ndarray):
-        n = p.block_order
-        self.n = n
-        self.me = p.num_eq
-        self.mi = len(ineq_idx)
-        self.m = self.me + self.mi
-        self.C = 0.5 * (p.obj_matrix + p.obj_matrix.T)
+        self.N = p.block_order
+        self.V = p.face
+        self.n = self.N if self.V is None else self.V.shape[1]
+        C = 0.5 * (p.obj_matrix + p.obj_matrix.T)
+        self.C = C if self.V is None else self.V.T @ C @ self.V
         self.c0 = p.obj_offset
-        sel = np.concatenate([np.arange(self.me), self.me + np.asarray(ineq_idx, dtype=np.intp)])
-        A = p.operator()[sel]
-        counts, r, c, v = p.rows(sel)
-        row = np.repeat(np.arange(self.m), counts)
-        off = r != c
+        eq_idx = np.arange(p.num_eq)
+        ineq_idx = np.asarray(ineq_idx, dtype=np.intp)
+        me = p.num_eq
+        norm = full_norm = self._load(p, eq_idx, ineq_idx)
+        gram = None
+        if self.V is not None:
+            # the reduced rows' Gram: the Schur matrix at R = I, M = V V^T
+            gram = self.schur(np.eye(self.n), np.zeros(self.mi))
+            norm = np.sqrt(np.maximum(np.diag(gram), 0.0))
 
-        norm = np.sqrt(_segment_sums(v**2 * np.where(off, 2.0, 1.0), counts))
+        def label(t):
+            return p.eq_labels[eq_idx[t]] if t < me else p.ineq_labels[ineq_idx[t - me]]
+
+        keep = _presolve(self.rhs, label, me, norm, full_norm, gram)
+        if not keep.all():
+            self._load(p, eq_idx[keep[:me]], ineq_idx[keep[me:]])
+            norm = norm[keep]
         self.row_scale = 1.0 / np.maximum(norm, 1e-300)
-        A.data = A.data * np.repeat(self.row_scale, np.diff(A.indptr))
-        self.A = A
-        vals = v * self.row_scale[row]
-        ineq_rhs = np.asarray(p.ineq_rhs, dtype=float)[ineq_idx]
-        self.rhs = np.concatenate([np.asarray(p.eq_rhs, dtype=float), ineq_rhs]) * self.row_scale
+        self.A.data = self.A.data * np.repeat(self.row_scale, np.diff(self.A.indptr))
+        self.u = self.u * np.repeat(self.row_scale, np.diff(self._ptr))
+        self.dense_K = self.dense_K * self.row_scale[np.asarray(self._dense, dtype=bool), None, None]
+        self.rhs = self.rhs * self.row_scale
         self.b = self.rhs[: self.me]
         self.h = self.rhs[self.me :]
+
+    def _load(self, p: ConicProblem, eq_idx: np.ndarray, ineq_idx: np.ndarray) -> np.ndarray:
+        """Unscaled rows eq_idx and ineq_idx of p; returns their norms."""
+        n = self.N
+        self.eq_idx, self.ineq_idx = eq_idx, ineq_idx
+        self.me, self.mi = len(eq_idx), len(ineq_idx)
+        self.m = self.me + self.mi
+        sel = np.concatenate([eq_idx, p.num_eq + ineq_idx])
+        self.A = p.operator()[sel]
+        counts, r, c, v = p.rows(sel)
+        off = r != c
+        self.rhs = np.concatenate([
+            np.asarray(p.eq_rhs, dtype=float)[eq_idx],
+            np.asarray(p.ineq_rhs, dtype=float)[ineq_idx],
+        ])
 
         # rows with many entries enter the Schur build as dense matrices,
         # the rest as (r, c, u) with halved diagonal values, which makes
         # T = U V^T + V U^T exact
         dense = counts > _DENSE_NNZ_FACTOR * n
-        self.dense_K = A[dense].toarray().reshape(-1, n, n)
+        self.dense_K = self.A[dense].toarray().reshape(-1, n, n)
         self._dense = dense.tolist()
         self._ptr = np.concatenate(([0], np.cumsum(counts))).tolist()
         self.r, self.c = r, c
-        self.u = vals * np.where(off, 1.0, 0.5)
+        self.u = v * np.where(off, 1.0, 0.5)
         self._Tbuf = None
+        return np.sqrt(_segment_sums(v**2 * np.where(off, 2.0, 1.0), counts))
+
+    def lift(self, R: np.ndarray) -> np.ndarray:
+        """The problem's matrix V R V^T of a solver iterate R."""
+        return R if self.V is None else self.V @ R @ self.V.T
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """All constraint inner products <K_i, M>."""
-        return self.A @ M.ravel()
+        return self.A @ self.lift(M).ravel()
 
     def adjoint(self, yfull: np.ndarray) -> np.ndarray:
         """sum_i yfull_i K_i as a dense symmetric matrix."""
-        return (self.A.T @ yfull).reshape(self.n, self.n)
+        K = (self.A.T @ yfull).reshape(self.N, self.N)
+        return K if self.V is None else self.V.T @ K @ self.V
 
     def schur(self, W: np.ndarray, d_lp: np.ndarray) -> np.ndarray:
-        """Schur complement: S[i,j] = <K_i, W K_j W>, plus diag(u/q) on slacks."""
-        n, m = self.n, self.m
+        """Schur complement: S[i,j] = <K_i, W K_j W>, plus diag(u/q) on slacks.
+
+        With a face, <V'K_iV, W V'K_jV W> = <K_i, Wt K_j Wt> for Wt = V W V'.
+        """
+        W = self.lift(W)
+        n, m = self.N, self.m
         if self._Tbuf is None or self._Tbuf.shape != (m, n * n):
             self._Tbuf = np.empty((m, n * n))
         T = self._Tbuf
@@ -227,6 +272,72 @@ class _Data:
             mi_slice = np.arange(self.me, m)
             S[mi_slice, mi_slice] += d_lp
         return S
+
+
+# presolve thresholds: a row keeps less than this share of its norm on the
+# face; a QR diagonal below this share of the first marks a dependent
+# equality; a unit row whose distance to the equalities' span has a square
+# below this lies in it; an implied right-hand side may miss by this much
+_EMPTY_SHARE = 1e-7
+_RANK_TOL = 1e-9
+_SPAN_TOL = 1e-10
+_CONSISTENT_TOL = 1e-7
+
+
+def _presolve(rhs, label, me, norm, full_norm, gram=None) -> np.ndarray:
+    """Mask of the rows the solver keeps; a dropped row gets multiplier 0.
+
+    Dropped everywhere: rows with no entries (on the face, if there is
+    one), 0 = 0 or 0 <= h with h >= 0. With a face, ``gram`` holds the
+    reduced rows' inner products, and two more kinds go: equalities that a
+    pivoted QR of the equality Gram finds dependent on the others, and
+    inequalities in the span of the equalities, which they make a
+    constant. A dropped row that contradicts the kept ones raises a
+    ValueError naming its ``label(i)``: the problem is infeasible. ``norm``
+    holds the rows' norms (on the face) and ``full_norm`` their norms on
+    the whole block.
+    """
+    m = len(rhs)
+    eq = np.arange(m) < me
+    empty = norm <= _EMPTY_SHARE * full_norm
+
+    def contradiction(mask, what):
+        if mask.any():
+            i = int(np.flatnonzero(mask)[0])
+            raise ValueError(f"constraint {label(i)!r} {what}: the problem is infeasible")
+
+    scale = 1.0 + np.abs(rhs).max(initial=0.0)
+    contradiction(empty & eq & (np.abs(rhs) > _CONSISTENT_TOL * scale), "reads 0 = b with b != 0")
+    contradiction(empty & ~eq & (rhs < -_CONSISTENT_TOL * scale), "reads 0 <= h with h < 0")
+    keep = ~empty
+    if gram is None or not keep[:me].any():
+        return keep
+
+    # with a face: inner products and right-hand sides of unit-norm rows
+    e = np.flatnonzero(keep[:me])
+    s = np.where(keep, norm, 1.0)
+    unit, b = gram / np.outer(s, s), rhs / s
+    bad = np.zeros(m, dtype=bool)
+
+    # a pivoted QR of the unit equalities' Gram keeps a basis of them
+    _, R, piv = sla.qr(unit[np.ix_(e, e)], pivoting=True)
+    rank = int(np.sum(np.abs(np.diag(R)) > _RANK_TOL * abs(R[0, 0])))
+    kept, dropped = e[piv[:rank]], e[piv[rank:]]
+    implied = unit[np.ix_(dropped, kept)] @ np.linalg.solve(unit[np.ix_(kept, kept)], b[kept])
+    bad[dropped] = np.abs(b[dropped] - implied) > _CONSISTENT_TOL * (1.0 + np.abs(b[kept]).max())
+    contradiction(bad, "contradicts the equalities it depends on")
+    keep[dropped] = False
+
+    # an inequality in the span of the kept equalities reads c'b <= h on
+    # the face; when tight it would leave its slack no interior
+    i = np.flatnonzero(keep[me:]) + me
+    coef = np.linalg.solve(unit[np.ix_(kept, kept)], unit[np.ix_(kept, i)])
+    in_span = 1.0 - np.sum(unit[np.ix_(kept, i)] * coef, axis=0) <= _SPAN_TOL
+    i, value = i[in_span], coef[:, in_span].T @ b[kept]
+    bad[i] = value > b[i] + _CONSISTENT_TOL * (1.0 + np.abs(b[i]))
+    contradiction(bad, "contradicts the equalities that fix it on the face")
+    keep[i] = False
+    return keep
 
 
 def _chol_lower(M: np.ndarray) -> np.ndarray:
@@ -574,12 +685,16 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
 
 
 def _solve_working(p: ConicProblem, cfg: SolverConfig, ineq_idx: np.ndarray) -> ConicSolution:
-    """Solve on a working inequality set; scatter its duals to all rows."""
-    sol = _ipm(_Data(p, ineq_idx), cfg)
-    dual_full = np.zeros(p.num_ineq)
-    if len(ineq_idx):
-        dual_full[ineq_idx] = sol.dual_ineq
-    sol.dual_ineq = dual_full
+    """Solve on a working inequality set; scatter its duals to all rows and
+    lift its matrices off the face."""
+    data = _Data(p, ineq_idx)
+    sol = _ipm(data, cfg)
+    dual_eq, dual_ineq = np.zeros(p.num_eq), np.zeros(p.num_ineq)
+    dual_eq[data.eq_idx] = sol.dual_eq
+    dual_ineq[data.ineq_idx] = sol.dual_ineq
+    sol.dual_eq, sol.dual_ineq = dual_eq, dual_ineq
+    sol.primal = data.lift(sol.primal)
+    sol.iterates = [data.lift(X) for X in sol.iterates]
     return sol
 
 
@@ -645,7 +760,19 @@ def safe_lower_bound(p: ConicProblem, sol: ConicSolution) -> SafeBound:
         value = b^T y - h^T s + t * min(0, lambda_min(Zslack))
 
     is a valid lower bound, where Zslack = C - sum_i y_i A_i + sum_j s_j G_j.
-    The eigenvalue term pays for dual infeasibility through the fixed trace.
+    The eigenvalue term pays for dual infeasibility through the fixed trace:
+    every feasible M has <C, M> >= b^T y - h^T s + <Zslack, M>, and
+    <Zslack, M> >= t * min(0, lambda_min(Zslack)) for M PSD with tr M = t.
+
+    With a face V the eigenvalue is that of V^T Zslack V. This is valid
+    because the builder's equalities force every feasible M into the face.
+    For the vector-lifted relaxation, take the exposing vectors
+    v_i = (-1, e_i, e_i). The corner, border (y = diag Y), y12-diag and
+    block-trace equalities give sum_i v_i^T M v_i = n - tr Y11 - tr Y22 = 0,
+    and the corner, trace-1 and j-trace-1 ones give v^T M v = 0 for
+    v = (-m1, e, 0). Each term is >= 0 since M is PSD, so M v = 0 for all
+    of them and M = V R V^T with R = V^T M V PSD. Then <Zslack, M> =
+    <V^T Zslack V, R> and tr R = tr M = t, so the same argument holds on R.
     """
     t = p.trace_constant
     if t is None:
@@ -662,7 +789,7 @@ def safe_lower_bound(p: ConicProblem, sol: ConicSolution) -> SafeBound:
     n = p.block_order
     C = 0.5 * (p.obj_matrix + p.obj_matrix.T)
     Zslack = C - (p.operator().T @ np.concatenate([y, -s])).reshape(n, n)
-    lam = min_eigenvalue(Zslack)
+    lam = min_eigenvalue(Zslack if p.face is None else p.face.T @ Zslack @ p.face)
     b, h = np.asarray(p.eq_rhs, dtype=float), np.asarray(p.ineq_rhs, dtype=float)
     value = float(b @ y - h @ s) + t * min(0.0, lam) + p.obj_offset
     return SafeBound(value=value, dual_eq=y, dual_ineq=s, slack_min_eigenvalue=lam)

@@ -1,9 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 The random-instance batteries are seeded and shared across criteria through
-session fixtures, so the whole suite is deterministic. The degenerate
-vector-lifted solves get a generous iteration budget; everything else runs
-at the default configuration.
+session fixtures, so the whole suite is deterministic. Every solve runs
+within the default iteration budget.
 """
 
 import itertools
@@ -43,12 +42,6 @@ from bisectsdp.equivalence import add_lifted_facets
 from conftest import enumerate_min_cut
 
 TIGHT = dict(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9)
-
-
-def wz_config():
-    # degenerate lifted solves converge slowly along a boundary ray and
-    # need the large budget; see the solver module docstring
-    return SolverConfig(max_iters=2500, **TIGHT)
 
 
 def _passline(num, text):
@@ -109,7 +102,7 @@ def equivalence_battery():
         seed = int(rng.integers(0, 10**6))
         inst = BisectionInstance(gen_gnp(n, p, seed), m1, n - m1)
         v_new = solve(build_new(inst, True), SolverConfig(**TIGHT)).objective_primal
-        v_wz = solve(build_wz(inst), wz_config()).objective_primal
+        v_wz = solve(build_wz(inst), SolverConfig(**TIGHT)).objective_primal
         v_basic = solve(build_basic(inst), SolverConfig(**TIGHT)).objective_primal
         results.append((inst, v_new, v_wz, v_basic))
     return results
@@ -158,7 +151,7 @@ def test_criterion4_redundancy():
 
         p_wz = build_wz(inst)
         add_lifted_facets(p_wz)
-        v_wz = solve(p_wz, wz_config()).objective_primal
+        v_wz = solve(p_wz, SolverConfig(**TIGHT)).objective_primal
         rel = abs(v_new - v_wz) / (1.0 + abs(v_new))
         worst = max(worst, rel)
         assert rel <= 1e-5, f"trial {trial} (n={n}): rel gap {rel:.2e}"

@@ -28,10 +28,6 @@ def tight():
     return SolverConfig(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9)
 
 
-def wz_cfg():
-    return SolverConfig(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9, max_iters=1200)
-
-
 def test_lift_integer_point_exact(gnp8):
     z = np.zeros(8)
     z[[0, 2, 3, 5, 6]] = 1.0
@@ -95,7 +91,7 @@ def test_project_round_trip_exact(gnp8):
 
 def test_project_solver_solution_amplification():
     inst = BisectionInstance(gen_gnp(6, 0.5, 7), 4, 2)
-    sol = solve(build_wz(inst), wz_cfg())
+    sol = solve(build_wz(inst), tight())
     X = project_wz_to_new(sol.primal, inst, tol=1e-5)
     rep = feasibility_report(build_new(inst, True), X, tol=1e-5)
     assert rep.passed
@@ -120,7 +116,7 @@ def test_project_to_basic_integer_point(gnp8):
 
 def test_project_to_basic_solver_solution():
     inst = BisectionInstance(gen_gnp(8, 0.5, 15), 5, 3)
-    sol = solve(build_wz(inst), wz_cfg())
+    sol = solve(build_wz(inst), tight())
     X = project_wz_to_basic(sol.primal, inst, tol=1e-5)
     assert np.abs(np.diag(X) - 1).max() <= 1e-6
     n = 8
@@ -137,7 +133,7 @@ def test_project_to_basic_solver_solution():
 
 def test_linking_identities_on_solver_solution():
     inst = BisectionInstance(gen_gnp(6, 0.5, 3), 4, 2)
-    sol = solve(build_wz(inst), wz_cfg())
+    sol = solve(build_wz(inst), tight())
     rep = check_linking_identities(sol.primal, inst.m1, inst.m2, tol=1e-7)
     assert rep.passed, rep.family_residuals
 
@@ -171,7 +167,7 @@ def test_bordered_equivalence_rejects_unlinked_input():
 def test_solved_equivalence_and_domination_small():
     inst = BisectionInstance(gen_gnp(9, 0.5, 23), 6, 3)
     v_new = solve(build_new(inst, True), tight()).objective_primal
-    v_wz = solve(build_wz(inst), wz_cfg()).objective_primal
+    v_wz = solve(build_wz(inst), tight()).objective_primal
     v_basic = solve(build_basic(inst), tight()).objective_primal
     v_bare = solve(build_new(inst, False), tight()).objective_primal
     assert abs(v_new - v_wz) <= 1e-5 * (1 + abs(v_new))
@@ -201,6 +197,6 @@ def test_redundancy_of_full_facet_family_small():
 
     p_wz = build_wz(inst)
     add_lifted_facets(p_wz)
-    sol_wz = solve(p_wz, wz_cfg())
+    sol_wz = solve(p_wz, tight())
     v_wz = sol_wz.objective_primal
     assert abs(v_new - v_wz) <= 1e-5 * (1 + abs(v_new))

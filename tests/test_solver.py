@@ -202,5 +202,5 @@ def test_sifting_handles_large_inequality_sets():
 
 def test_wz_solves_close_to_new(gnp8):
     vn = solve(build_new(gnp8, True), tight_cfg()).objective_primal
-    sw = solve(build_wz(gnp8), tight_cfg(max_iters=800))
+    sw = solve(build_wz(gnp8), tight_cfg())
     assert abs(vn - sw.objective_primal) <= 1e-5 * (1 + abs(vn))
