@@ -8,23 +8,32 @@ the Schur complement has one row per constraint.
 
 A problem with a face V (the vector-lifted relaxation, whose equalities
 force every feasible matrix into range(V)) is solved on R with M = V R V^T,
-where it has an interior. A presolve then drops the equalities the face
-makes dependent and the inequalities the kept equalities fix to a
-constant; on every problem it drops consistent rows with no entries.
-Dropped rows get multiplier 0, and a row that contradicts the kept ones is
-a ValueError.
+where it has an interior. Every problem then goes through one presolve on
+its rows' Gram matrix (A A^T, or the reduced rows' on a face). It drops
+consistent rows with no entries, the equalities that a pivoted QR finds
+dependent on the others (the trace row of the order-n model, most of the
+lifted equalities on the face), and the inequalities that the kept
+equalities fix to a constant. Dropped rows get multiplier 0, and a row
+that contradicts the kept ones is a ValueError. With the equalities
+independent, the Schur complement is positive definite at every iterate
+in exact arithmetic.
+
+Rows are scaled to unit norm, and a solve stops when its largest scaled
+primal residual, its relative dual residual and its relative gap are all
+within tolerance.
 
 Degenerate models still need care: the order-n relaxation loses its
 interior when the smaller part has size 1 (the pair inequalities are
 forced tight on average). The homogeneous self-dual embedding keeps such
 solves bounded, and these safety nets keep their Newton steps usable: the
-Cholesky factors of X and Z and the factor of the Schur complement each
-retry with an escalating diagonal shift, each Schur solve takes one
-refinement pass and each direction up to two against the full Newton
-system, a plain centred step replaces a corrected step that overshoots the
-cone, and up to three centrality correctors lengthen a short step. A solve
-that runs out of iterations returns its best iterate with status
-MAX_ITERS; the certified bound below never trusts the solver's state.
+factor of the Schur complement retries with an escalating diagonal shift,
+each Schur solve takes one refinement pass and each direction up to two
+against the full Newton system, a plain centred step replaces a corrected
+step that overshoots the cone, and up to three centrality correctors
+lengthen a short step. A Cholesky breakdown of X or Z ends the solve with
+status NUMERICAL_TROUBLE, and a solve that runs out of iterations returns
+its best iterate with status MAX_ITERS; the certified bound below never
+trusts the solver's state.
 
 When the inequality list is large (elementwise nonnegativity families grow
 as O(n^2)), the solver sifts: it repeatedly solves with a working subset of
@@ -144,17 +153,6 @@ def min_eigenvalue(M: np.ndarray) -> float:
 # problem data in solver form
 # ---------------------------------------------------------------------------
 
-def _segment_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each run of ``counts[i]`` consecutive entries of x, in the
-    order np.sum adds one run alone: runs of equal length share a 2-D sum."""
-    out = np.zeros(len(counts))
-    ends = np.cumsum(counts)
-    for k in np.unique(counts[counts > 0]):
-        rows = np.flatnonzero(counts == k)
-        out[rows] = x[(ends[rows] - k)[:, None] + np.arange(k)].sum(axis=1)
-    return out
-
-
 class _Data:
     """Equilibrated row slice of a problem's operator (equalities first).
 
@@ -177,17 +175,22 @@ class _Data:
         eq_idx = np.arange(p.num_eq)
         ineq_idx = np.asarray(ineq_idx, dtype=np.intp)
         me = p.num_eq
-        norm = full_norm = self._load(p, eq_idx, ineq_idx)
-        gram = None
-        if self.V is not None:
-            # the reduced rows' Gram: the Schur matrix at R = I, M = V V^T
+        self._load(p, eq_idx, ineq_idx)
+        # the rows' Gram: A A' on the whole block, or on a face the reduced
+        # rows' inner products, which are the Schur matrix at R = I
+        if self.V is None:
+            gram = self.A @ self.A.T
+            eq_gram = gram[:me].toarray()
+        else:
             gram = self.schur(np.eye(self.n), np.zeros(self.mi))
-            norm = np.sqrt(np.maximum(np.diag(gram), 0.0))
+            eq_gram = gram[:me]
+        norm = np.sqrt(np.maximum(gram.diagonal(), 0.0))
+        full_norm = np.sqrt(np.asarray(self.A.multiply(self.A).sum(axis=1)).ravel())
 
         def label(t):
             return p.eq_labels[eq_idx[t]] if t < me else p.ineq_labels[ineq_idx[t - me]]
 
-        keep = _presolve(self.rhs, label, me, norm, full_norm, gram)
+        keep = _presolve(self.rhs, label, norm, full_norm, eq_gram)
         if not keep.all():
             self._load(p, eq_idx[keep[:me]], ineq_idx[keep[me:]])
             norm = norm[keep]
@@ -199,8 +202,8 @@ class _Data:
         self.b = self.rhs[: self.me]
         self.h = self.rhs[self.me :]
 
-    def _load(self, p: ConicProblem, eq_idx: np.ndarray, ineq_idx: np.ndarray) -> np.ndarray:
-        """Unscaled rows eq_idx and ineq_idx of p; returns their norms."""
+    def _load(self, p: ConicProblem, eq_idx: np.ndarray, ineq_idx: np.ndarray) -> None:
+        """Unscaled rows eq_idx and ineq_idx of p."""
         n = self.N
         self.eq_idx, self.ineq_idx = eq_idx, ineq_idx
         self.me, self.mi = len(eq_idx), len(ineq_idx)
@@ -224,7 +227,6 @@ class _Data:
         self.r, self.c = r, c
         self.u = v * np.where(off, 1.0, 0.5)
         self._Tbuf = None
-        return np.sqrt(_segment_sums(v**2 * np.where(off, 2.0, 1.0), counts))
 
     def lift(self, R: np.ndarray) -> np.ndarray:
         """The problem's matrix V R V^T of a solver iterate R."""
@@ -275,7 +277,7 @@ class _Data:
 
 
 # presolve thresholds: a row keeps less than this share of its norm on the
-# face; a QR diagonal below this share of the first marks a dependent
+# face; a QR diagonal below this share of the largest marks a dependent
 # equality; a unit row whose distance to the equalities' span has a square
 # below this lies in it; an implied right-hand side may miss by this much
 _EMPTY_SHARE = 1e-7
@@ -284,20 +286,20 @@ _SPAN_TOL = 1e-10
 _CONSISTENT_TOL = 1e-7
 
 
-def _presolve(rhs, label, me, norm, full_norm, gram=None) -> np.ndarray:
+def _presolve(rhs, label, norm, full_norm, eq_gram) -> np.ndarray:
     """Mask of the rows the solver keeps; a dropped row gets multiplier 0.
 
-    Dropped everywhere: rows with no entries (on the face, if there is
-    one), 0 = 0 or 0 <= h with h >= 0. With a face, ``gram`` holds the
-    reduced rows' inner products, and two more kinds go: equalities that a
-    pivoted QR of the equality Gram finds dependent on the others, and
-    inequalities in the span of the equalities, which they make a
+    Three kinds of rows go: rows with no entries (on the face, if there is
+    one), which must read 0 = 0 or 0 <= h with h >= 0; equalities that a
+    pivoted QR of the equality Gram finds dependent on the others; and
+    inequalities in the span of the kept equalities, which they make a
     constant. A dropped row that contradicts the kept ones raises a
-    ValueError naming its ``label(i)``: the problem is infeasible. ``norm``
-    holds the rows' norms (on the face) and ``full_norm`` their norms on
-    the whole block.
+    ValueError naming its ``label(i)``: the problem is infeasible.
+    ``eq_gram`` holds the inner products of the equalities with all rows
+    and ``norm`` the rows' norms (both on the face, if there is one),
+    ``full_norm`` their norms on the whole block.
     """
-    m = len(rhs)
+    me, m = eq_gram.shape
     eq = np.arange(m) < me
     empty = norm <= _EMPTY_SHARE * full_norm
 
@@ -310,50 +312,35 @@ def _presolve(rhs, label, me, norm, full_norm, gram=None) -> np.ndarray:
     contradiction(empty & eq & (np.abs(rhs) > _CONSISTENT_TOL * scale), "reads 0 = b with b != 0")
     contradiction(empty & ~eq & (rhs < -_CONSISTENT_TOL * scale), "reads 0 <= h with h < 0")
     keep = ~empty
-    if gram is None or not keep[:me].any():
-        return keep
 
-    # with a face: inner products and right-hand sides of unit-norm rows
+    # a pivoted QR of the equalities' Gram keeps a basis of them; pivoting
+    # on the raw rows, not unit ones, leaves short rows last, so the order-n
+    # model loses its trace row
     e = np.flatnonzero(keep[:me])
-    s = np.where(keep, norm, 1.0)
-    unit, b = gram / np.outer(s, s), rhs / s
-    bad = np.zeros(m, dtype=bool)
-
-    # a pivoted QR of the unit equalities' Gram keeps a basis of them
-    _, R, piv = sla.qr(unit[np.ix_(e, e)], pivoting=True)
-    rank = int(np.sum(np.abs(np.diag(R)) > _RANK_TOL * abs(R[0, 0])))
+    _, R, piv = sla.qr(eq_gram[np.ix_(e, e)], pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > _RANK_TOL * diag.max(initial=0.0)))
     kept, dropped = e[piv[:rank]], e[piv[rank:]]
+
+    # inner products and right-hand sides of unit-norm rows
+    s = np.where(keep, norm, 1.0)
+    unit, b = eq_gram / np.outer(s[:me], s), rhs / s
+    bad = np.zeros(m, dtype=bool)
     implied = unit[np.ix_(dropped, kept)] @ np.linalg.solve(unit[np.ix_(kept, kept)], b[kept])
-    bad[dropped] = np.abs(b[dropped] - implied) > _CONSISTENT_TOL * (1.0 + np.abs(b[kept]).max())
+    bad[dropped] = np.abs(b[dropped] - implied) > _CONSISTENT_TOL * (1.0 + np.abs(b[kept]).max(initial=0.0))
     contradiction(bad, "contradicts the equalities it depends on")
     keep[dropped] = False
 
-    # an inequality in the span of the kept equalities reads c'b <= h on
-    # the face; when tight it would leave its slack no interior
+    # an inequality in the span of the kept equalities reads c'b <= h;
+    # when tight it would leave its slack no interior
     i = np.flatnonzero(keep[me:]) + me
     coef = np.linalg.solve(unit[np.ix_(kept, kept)], unit[np.ix_(kept, i)])
     in_span = 1.0 - np.sum(unit[np.ix_(kept, i)] * coef, axis=0) <= _SPAN_TOL
     i, value = i[in_span], coef[:, in_span].T @ b[kept]
     bad[i] = value > b[i] + _CONSISTENT_TOL * (1.0 + np.abs(b[i]))
-    contradiction(bad, "contradicts the equalities that fix it on the face")
+    contradiction(bad, "contradicts the equalities that fix it")
     keep[i] = False
     return keep
-
-
-def _chol_lower(M: np.ndarray) -> np.ndarray:
-    """Cholesky with a tiny escalating diagonal shift on breakdown."""
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        pass
-    scale = max(np.trace(M) / len(M), 1e-30)
-    jitter = 1e-14
-    while jitter <= 1e-6:
-        try:
-            return np.linalg.cholesky(M + jitter * scale * np.eye(len(M)))
-        except np.linalg.LinAlgError:
-            jitter *= 100.0
-    raise np.linalg.LinAlgError("cholesky breakdown")
 
 
 def _factor_schur(S: np.ndarray):
@@ -403,7 +390,6 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
     n, me, mi = data.n, data.me, data.mi
     bh = data.rhs
 
-    scale_rhs = 1.0 + (np.abs(data.rhs).max() if data.m else 0.0)
     cnorm = 1.0 + np.linalg.norm(data.C)
     Cm = data.C / cnorm
     norm_C = np.linalg.norm(Cm)
@@ -442,7 +428,7 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
         pinf = max(
             np.abs(AXs[:me] - data.b).max() if me else 0.0,
             viol.max() if mi else 0.0,
-        ) / scale_rhs
+        )
         dinf = np.linalg.norm(rD / tau) / (1.0 + norm_C)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         # selection prefers late, fully polished iterates; the sum keeps a
@@ -471,8 +457,8 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
         ) / (n + mi + 1)
 
         try:
-            Lx = _chol_lower(X)
-            Lz = _chol_lower(Z)
+            Lx = np.linalg.cholesky(X)
+            Lz = np.linalg.cholesky(Z)
             _, sv, Vtv = sla.svd(Lz.T @ Lx, check_finite=False)
             sv = np.maximum(sv, 1e-150)
             G = Lx @ Vtv.T / np.sqrt(sv)

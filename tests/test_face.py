@@ -17,6 +17,7 @@ from bisectsdp import (
     gen_gnp,
     generate,
     integer_point,
+    lift_new_to_wz,
     project_wz_to_new,
     safe_lower_bound,
     solve,
@@ -92,6 +93,21 @@ def test_dropped_rows_carry_dual_zero(solved_cell):
     assert np.all(sol.dual_ineq[pinned] == 0.0)
     # the face leaves n + 1 independent equalities; the rest are dropped
     assert np.count_nonzero(sol.dual_eq == 0.0) == p.num_eq - (n + 1)
+    # the order-n model has one dependent equality, the trace
+    _, _, _, p_new, sol_new = solved_cell
+    assert np.flatnonzero(sol_new.dual_eq == 0.0).tolist() == [p_new.eq_labels.index("trace")]
+
+
+@pytest.mark.parametrize(
+    "spec,m1,m2", [("gnp:13,0.5,669297", 7, 6), ("gnp:14,0.5,756741", 12, 2)]
+)
+def test_order_n_solve_passes_the_lift(spec, m1, m2):
+    # with its dependent trace row kept, the order-n solve missed the lift's
+    # 1e-6 feasibility check on its j-trace row (3.0e-6 and 1.1e-6)
+    inst = BisectionInstance(generate(spec), m1, m2)
+    sol = solve(build_new(inst, True), SolverConfig())
+    assert sol.status is SolverStatus.OPTIMAL
+    lift_new_to_wz(sol.primal, inst)
 
 
 def test_face_safe_bound_matches_order_n(solved_cell):
