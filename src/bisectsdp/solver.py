@@ -20,7 +20,8 @@ in exact arithmetic.
 
 Rows are scaled to unit norm, and a solve stops when its largest scaled
 primal residual, its relative dual residual and its relative gap are all
-within tolerance.
+within tolerance. On a face a row's norm is that of its reduced row, which
+is at most its norm on the whole block.
 
 Degenerate models still need care: the order-n relaxation loses its
 interior when the smaller part has size 1 (the pair inequalities are
@@ -37,9 +38,10 @@ trusts the solver's state.
 
 When the inequality list is large (elementwise nonnegativity families grow
 as O(n^2)), the solver sifts: it repeatedly solves with a working subset of
-inequalities and activates any that the iterate violates, which keeps the
-Schur complement small. Multipliers of never-activated rows are zero, so
-the returned solution satisfies the full problem's optimality contract.
+inequalities and activates any whose violation over its norm on the whole
+block exceeds half the primal tolerance, which keeps the Schur complement
+small. Multipliers of never-activated rows are zero, so the returned
+solution satisfies the full problem's optimality contract.
 
 Each working set's data is an equilibrated row slice of the problem's
 stacked operator; sifting and the safe bound apply that operator unscaled.
@@ -153,6 +155,11 @@ def min_eigenvalue(M: np.ndarray) -> float:
 # problem data in solver form
 # ---------------------------------------------------------------------------
 
+def _row_norms(A) -> np.ndarray:
+    """Frobenius norms of the rows of a sparse operator."""
+    return np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
+
+
 class _Data:
     """Equilibrated row slice of a problem's operator (equalities first).
 
@@ -176,16 +183,16 @@ class _Data:
         ineq_idx = np.asarray(ineq_idx, dtype=np.intp)
         me = p.num_eq
         self._load(p, eq_idx, ineq_idx)
-        # the rows' Gram: A A' on the whole block, or on a face the reduced
-        # rows' inner products, which are the Schur matrix at R = I
+        full_norm = _row_norms(self.A)
+        # the equalities' inner products with all rows: A A' on the whole
+        # block, or on a face the reduced rows', the Schur matrix at R = I
         if self.V is None:
-            gram = self.A @ self.A.T
-            eq_gram = gram[:me].toarray()
+            norm = full_norm
+            eq_gram = (self.A[:me] @ self.A.T).toarray()
         else:
             gram = self.schur(np.eye(self.n), np.zeros(self.mi))
+            norm = np.sqrt(np.maximum(np.diag(gram), 0.0))
             eq_gram = gram[:me]
-        norm = np.sqrt(np.maximum(gram.diagonal(), 0.0))
-        full_norm = np.sqrt(np.asarray(self.A.multiply(self.A).sum(axis=1)).ravel())
 
         def label(t):
             return p.eq_labels[eq_idx[t]] if t < me else p.ineq_labels[ineq_idx[t - me]]
@@ -277,9 +284,10 @@ class _Data:
 
 
 # presolve thresholds: a row keeps less than this share of its norm on the
-# face; a QR diagonal below this share of the largest marks a dependent
-# equality; a unit row whose distance to the equalities' span has a square
-# below this lies in it; an implied right-hand side may miss by this much
+# face; a QR diagonal below this share of its row's squared norm marks a
+# dependent equality; a unit row whose distance to the equalities' span has
+# a square below this lies in it; an implied right-hand side may miss by
+# this much
 _EMPTY_SHARE = 1e-7
 _RANK_TOL = 1e-9
 _SPAN_TOL = 1e-10
@@ -315,12 +323,12 @@ def _presolve(rhs, label, norm, full_norm, eq_gram) -> np.ndarray:
 
     # a pivoted QR of the equalities' Gram keeps a basis of them; pivoting
     # on the raw rows, not unit ones, leaves short rows last, so the order-n
-    # model loses its trace row
+    # model loses its trace row. Each diagonal is tested against its own
+    # row's squared norm, so rescaling a row does not change the rank.
     e = np.flatnonzero(keep[:me])
     _, R, piv = sla.qr(eq_gram[np.ix_(e, e)], pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > _RANK_TOL * diag.max(initial=0.0)))
-    kept, dropped = e[piv[:rank]], e[piv[rank:]]
+    indep = np.abs(np.diag(R)) > _RANK_TOL * eq_gram[e[piv], e[piv]]
+    kept, dropped = e[piv[indep]], e[piv[~indep]]
 
     # inner products and right-hand sides of unit-norm rows
     s = np.where(keep, norm, 1.0)
@@ -708,11 +716,10 @@ def solve(
     if mi <= _SIFT_THRESHOLD:
         return _solve_working(p, cfg, np.arange(mi))
 
-    h = np.array(p.ineq_rhs)
-    scale = 1.0 + max(
-        np.abs(np.array(p.eq_rhs)).max() if p.num_eq else 0.0,
-        np.abs(h).max() if mi else 0.0,
-    )
+    # a row outside the working set joins it when its violation over its
+    # norm exceeds half the primal tolerance that the working rows meet;
+    # the most violated rows join first
+    norm = _row_norms(p.operator()[p.num_eq :])
     if ineq_hint is None:
         working = np.empty(0, dtype=int)
     else:
@@ -722,8 +729,8 @@ def solve(
     batch = max(4 * p.block_order, 400)
     for _ in range(_SIFT_MAX_PASSES):
         sol = _solve_working(p, cfg, working)
-        viol = p.ineq_violations(sol.primal) / scale
-        cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol_primal), working)
+        viol = p.ineq_violations(sol.primal)
+        cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol_primal * norm), working)
         if len(cand) == 0:
             return sol
         order = np.lexsort((cand, -viol[cand]))

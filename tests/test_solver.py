@@ -70,6 +70,25 @@ def test_contradictory_equalities_detected(gnp8):
         solve(p, SolverConfig(max_iters=200))
 
 
+def test_short_independent_equalities_are_kept(gnp8):
+    # the presolve's rank test must not depend on row scaling: the order-n
+    # model with diag(0) scaled by 1e-5 and an extra 1e-5 * X_01 = 0 row
+    # keeps every equality and meets both
+    n = gnp8.n
+    base = build_basic(gnp8)
+    p = ConicProblem(block_order=n, obj_matrix=base.obj_matrix, trace_constant=float(n))
+    idx = np.arange(n)
+    short = np.where(idx == 0, 1e-5, 1.0)
+    p.add_equalities(idx, idx, short, short, [f"diag({i})" for i in idx])
+    p.add_equalities(*np.triu_indices(n), 1.0, base.eq_rhs[-1], ["j-trace"])
+    p.add_equality(SymCoeff.from_entries({(0, 1): 1e-5}), 0.0, "short-x01")
+    sol = solve(p, SolverConfig())
+    assert sol.status is SolverStatus.OPTIMAL
+    assert np.all(sol.dual_eq != 0.0)
+    assert abs(sol.primal[0, 0] - 1.0) <= 1e-6
+    assert abs(sol.primal[0, 1]) <= 1e-6
+
+
 def test_weak_duality_on_optimal_solves(gnp8):
     for build in (build_basic, lambda i: build_new(i, True), build_wz):
         p = build(gnp8)
