@@ -36,7 +36,7 @@ BUILDERS = [
 def bound_ladder(inst):
     print(f"\n=== {inst.name}: n={inst.n}, m=({inst.m1},{inst.m2}) ===")
     _, opt = brute_force(inst)
-    cfg = SolverConfig(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9)
+    cfg = SolverConfig(tol=1e-9)
     for name, build in BUILDERS:
         p = build(inst)
         sol = solve(p, cfg)

@@ -41,7 +41,7 @@ if __name__ == "__main__":
     print(f"lifted point feasible for the lifted model: {rep.passed}")
 
     print("\n=== linking identities on a solved lifted matrix ===")
-    sol = solve(p_wz, SolverConfig(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9))
+    sol = solve(p_wz, SolverConfig(tol=1e-9))
     p8 = check_linking_identities(sol.primal, inst.m1, inst.m2, tol=1e-5)
     for fam, res in p8.family_residuals.items():
         print(f"  {fam:12s} residual {res:.2e}")

@@ -58,21 +58,26 @@ def _parse_m(text: str) -> tuple[int, int]:
     return m1, m2
 
 
-def _solver_config(tol: float) -> SolverConfig:
-    return SolverConfig(tol_primal=tol, tol_dual=tol, tol_gap=tol)
-
-
 def run_solve(args) -> int:
     inst = _load_instance(args)
     if args.cuts and args.relaxation != "new":
         raise InstanceFormatError("--cuts requires --relaxation new")
+    cfg = SolverConfig(tol=args.tol)
+
+    # the upper bound goes first, so that brute force rejects a large
+    # instance before the lower bound is paid for; tabu is seeded on its own
+    upper = None
+    if args.ub == "tabu":
+        upper = tabu_search(inst, TabuConfig(seed=args.seed))
+    elif args.ub == "brute":
+        upper = brute_force(inst)
 
     if args.cuts:
         loop_cfg = LoopConfig(
             max_rounds=args.max_rounds,
             cuts_per_round=args.cuts_per_round,
             eps=args.eps,
-            solver=_solver_config(args.tol),
+            solver=cfg,
         )
         report = cutting_plane_loop(inst, loop_cfg)
         ok = all(
@@ -81,7 +86,7 @@ def run_solve(args) -> int:
     else:
         t0 = time.perf_counter()
         p = _BUILDERS[args.relaxation](inst)
-        sol = solve(p, _solver_config(args.tol))
+        sol = solve(p, cfg)
         sb = safe_lower_bound(p, sol)
         report = BoundReport(
             instance=inst.name,
@@ -109,12 +114,8 @@ def run_solve(args) -> int:
         report.values[args.relaxation.replace("-", "_")] = sb.value
         ok = sol.usable()
 
-    if args.ub != "none":
-        if args.ub == "tabu":
-            assignment, ub = tabu_search(inst, TabuConfig(seed=args.seed))
-        else:
-            assignment, ub = brute_force(inst)
-        report.upper_bound = ub
+    if upper is not None:
+        assignment, report.upper_bound = upper
         report.upper_bound_method = args.ub
         report.upper_bound_part1 = sorted(v + 1 for v in assignment.part1_set())
 
@@ -136,7 +137,7 @@ def run_compare(args) -> int:
         raise InstanceFormatError(
             f"the vector-lifted relaxation is limited to n <= {_WZ_MAX_N} (got n={inst.n})"
         )
-    cfg = _solver_config(args.tol)
+    cfg = SolverConfig(tol=args.tol)
     values: dict[str, float] = {}
     statuses: dict[str, str] = {}
     ok = True

@@ -210,7 +210,7 @@ def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -
             "cuts_per_round": per_round,
             "eps": cfg.eps,
             "stall_tol": cfg.stall_tol,
-            "solver_tol": (cfg.solver.tol_primal, cfg.solver.tol_dual, cfg.solver.tol_gap),
+            "solver_tol": cfg.solver.tol,
         },
     )
     t_start = time.perf_counter()

@@ -3,8 +3,11 @@
 The tabu search keeps part sizes feasible by only exchanging one vertex of
 each part. Move gains are maintained incrementally: with D[v] the internal-
 minus-external weighted degree of v, swapping a and b changes the cut by
-D[a] + D[b] + 2 w(a,b). Recently moved vertices are tabu for a fixed tenure
-unless the move improves the best cut seen (aspiration).
+D[a] + D[b] + 2 w(a,b). After the swap every other vertex v gains
+2 w(v,b) - 2 w(v,a) if it lies in part 1 and the negative otherwise, and
+the two moved vertices end at -(D + 2 w(a,b)). Recently moved vertices are
+tabu for a fixed tenure unless the move improves the best cut seen
+(aspiration).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .graphs import Assignment, BisectionInstance, adjacency
 
-__all__ = ["TabuConfig", "tabu_search", "brute_force", "swap_delta"]
+__all__ = ["TabuConfig", "tabu_search", "brute_force"]
 
 _BRUTE_FORCE_MAX_N = 24
 _BRUTE_CHUNK = 4096
@@ -25,23 +28,27 @@ _BRUTE_CHUNK = 4096
 @dataclass(frozen=True)
 class TabuConfig:
     max_iters: int | None = None  # defaults to 2000 n
-    tenure: int | None = None  # defaults to round(0.1 n) clamped to [5, 50]
     restarts: int = 10
     seed: int = 0
-    patience: int | None = None  # stop a restart after this many non-improving moves
 
     def resolve(self, n: int) -> tuple[int, int, int]:
+        """Move budget, tabu tenure round(0.1 n) clamped to [5, 50], and the
+        number of non-improving moves that ends a restart."""
         iters = self.max_iters if self.max_iters is not None else 2000 * n
-        tenure = self.tenure if self.tenure is not None else min(50, max(5, round(0.1 * n)))
-        patience = self.patience if self.patience is not None else min(iters, 300 * n)
-        if iters <= 0 or tenure <= 0 or self.restarts <= 0 or patience <= 0:
+        if iters <= 0 or self.restarts <= 0:
             raise ValueError("tabu parameters must be positive")
-        return iters, tenure, patience
+        return iters, min(50, max(5, round(0.1 * n))), min(iters, 300 * n)
 
 
-def swap_delta(W: np.ndarray, side: np.ndarray, D: np.ndarray, a: int, b: int) -> float:
-    """Cut change from exchanging a (part 1) with b (part 2)."""
-    return float(D[a] + D[b] + 2.0 * W[a, b])
+def _swap(W: np.ndarray, side: np.ndarray, D: np.ndarray, a: int, b: int) -> float:
+    """Exchange a (part 1) with b (part 2) in ``side`` and the gains ``D``,
+    in place; return the cut change."""
+    delta = float(D[a] + D[b] + 2.0 * W[a, b])
+    D += 2.0 * np.where(side, 1.0, -1.0) * (W[:, b] - W[:, a])
+    D[[a, b]] *= -1.0
+    side[a] = False
+    side[b] = True
+    return delta
 
 
 def _gains(W: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -100,17 +107,7 @@ def _tabu_run(W, side, iters, tenure, patience, global_best):
         flat = int(np.argmin(masked))
         a = int(idx1[flat // len(idx2)])
         b = int(idx2[flat % len(idx2)])
-        cut += swap_delta(W, side, D, a, b)
-        sgn = np.where(side, 1.0, -1.0)
-        D += 2.0 * sgn * (W[:, b] - W[:, a])
-        side[a] = False
-        side[b] = True
-        for v in (a, b):
-            z = side.astype(float)
-            same = W[v] @ z
-            total = W[v].sum()
-            internal = same if side[v] else total - same
-            D[v] = 2.0 * internal - total
+        cut += _swap(W, side, D, a, b)
         tabu_until[a] = it + tenure
         tabu_until[b] = it + tenure
         if cut < best_cut - 1e-12:

@@ -15,12 +15,12 @@ the objective so that a feasible 0/1 assignment evaluates exactly to its
 cut weight, which makes the solved optima directly comparable across
 relaxations.
 
-Constraint rows are kept per sense as flat upper-triangle arrays ``r``,
-``c`` and ``v`` with a count of entries per row, each row sorted by (r, c),
-beside its right-hand side and label. Builders append each family as one
-batch built from index arrays. ``ConicProblem.rows`` hands out the entries
-of a row selection; residuals, the solver's data and the safe bound apply
-one stacked operator, rebuilt after appends.
+Builders append each family of constraint rows as one batch of flat
+upper-triangle arrays ``r``, ``c`` and ``v`` with a count of entries per
+row, beside the rows' right-hand sides and labels. The batches are joined
+into one stacked operator, rebuilt after appends; residuals, the solver's
+data and the safe bound apply it, and ``ConicProblem.rows`` reads a row
+selection's upper-triangle entries back off it.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class ConicProblem:
         empty = (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),)
         self._eq, self._ineq = [empty], [empty]
         self._label_set: set[str] = set()
-        self._stacked = self._operator = None
+        self._operator = None
 
     # -- construction ------------------------------------------------------
 
@@ -179,7 +179,7 @@ class ConicProblem:
         rhs_list.extend(np.broadcast_to(np.asarray(rhs, dtype=float), (k,)).tolist())
         label_list.extend(labels)
         self._label_set |= fresh
-        self._stacked = self._operator = None
+        self._operator = None
 
     def has_label(self, label: str) -> bool:
         return label in self._label_set
@@ -198,19 +198,15 @@ class ConicProblem:
         """Upper-triangle entries of the rows ``sel`` (equalities first).
 
         Returns (counts, r, c, v): row sel[t] owns the t-th run of
-        ``counts[t]`` entries, sorted by (r, c).
+        ``counts[t]`` entries, sorted by (r, c). They are read off the
+        operator, whose rows hold sorted flat indices r * N + c.
         """
-        if self._stacked is None:
-            # joining keeps a run of one-row appends linear in the row count
-            for batches in (self._eq, self._ineq):
-                batches[:] = [tuple(np.concatenate(a) for a in zip(*batches))]
-            counts, r, c, v = (np.concatenate(a) for a in zip(self._eq[0], self._ineq[0]))
-            self._stacked = (np.concatenate(([0], np.cumsum(counts))), r, c, v)
-        indptr, r, c, v = self._stacked
         sel = np.asarray(sel, dtype=np.intp)
-        counts = indptr[sel + 1] - indptr[sel]
-        pos = np.repeat(indptr[sel] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        return counts, r[pos], c[pos], v[pos]
+        A = self.operator()[sel]
+        r, c = np.divmod(A.indices.astype(np.intp), self.block_order)
+        upper = r <= c
+        row = np.repeat(np.arange(len(sel)), np.diff(A.indptr))[upper]
+        return np.bincount(row, minlength=len(sel)), r[upper], c[upper], A.data[upper]
 
     def row(self, i: int) -> SymCoeff:
         """Coefficient matrix of constraint i, counted as in the operator."""
@@ -223,8 +219,11 @@ class ConicProblem:
         twice). Built on first use and again after an append.
         """
         if self._operator is None:
-            n, m = self.block_order, self.num_eq + self.num_ineq
-            counts, r, c, v = self.rows(np.arange(m))
+            # joining keeps a run of one-row appends linear in the row count
+            for batches in (self._eq, self._ineq):
+                batches[:] = [tuple(np.concatenate(a) for a in zip(*batches))]
+            counts, r, c, v = (np.concatenate(a) for a in zip(self._eq[0], self._ineq[0]))
+            n, m = self.block_order, len(counts)
             row = np.repeat(np.arange(m), counts)
             off = r != c
             flat = np.concatenate([r * n + c, (c * n + r)[off]])
@@ -468,9 +467,12 @@ def problem_to_text(p: ConicProblem) -> str:
     obj = SymCoeff(r[mask], c[mask], p.obj_matrix[r, c][mask])
     out.write(f"objective | {_coeff_to_text(obj)} | 0 | min\n")
     senses = ["="] * p.num_eq + ["<="] * p.num_ineq
-    rows = zip(p.eq_labels + p.ineq_labels, p.eq_rhs + p.ineq_rhs, senses)
-    for i, (lab, b, sense) in enumerate(rows):
-        out.write(f"{lab} | {_coeff_to_text(p.row(i))} | {b:.17g} | {sense}\n")
+    counts, r, c, v = p.rows(np.arange(len(senses)))
+    cut = np.cumsum(counts)[:-1]
+    coeffs = map(SymCoeff, np.split(r, cut), np.split(c, cut), np.split(v, cut))
+    rows = zip(p.eq_labels + p.ineq_labels, coeffs, p.eq_rhs + p.ineq_rhs, senses)
+    for lab, k, b, sense in rows:
+        out.write(f"{lab} | {_coeff_to_text(k)} | {b:.17g} | {sense}\n")
     return out.getvalue()
 
 

@@ -14,12 +14,16 @@ __all__ = ["RoundTrace", "BoundReport", "ceil_bound", "CSV_COLUMNS", "csv_header
 CSV_COLUMNS = ["instance", "n", "m1", "m2", "basic", "new", "new_cuts", "ub"]
 
 
-def ceil_bound(value: float, integral: bool, slack: float = 1e-6) -> float | None:
+# a certified bound this close above an integer rounds up to that integer
+_CEIL_SLACK = 1e-6
+
+
+def ceil_bound(value: float, integral: bool) -> float | None:
     """Round a certified bound up to the next integer, guarding against
     solver noise just above an integer; only valid for integral weights."""
     if not integral:
         return None
-    return float(math.ceil(value - slack))
+    return float(math.ceil(value - _CEIL_SLACK))
 
 
 @dataclass

@@ -39,7 +39,7 @@ trusts the solver's state.
 When the inequality list is large (elementwise nonnegativity families grow
 as O(n^2)), the solver sifts: it repeatedly solves with a working subset of
 inequalities and activates any whose violation over its norm on the whole
-block exceeds half the primal tolerance, which keeps the Schur complement
+block exceeds half the tolerance, which keeps the Schur complement
 small. Multipliers of never-activated rows are zero, so the returned
 solution satisfies the full problem's optimality contract.
 
@@ -50,7 +50,7 @@ stacked operator; sifting and the safe bound apply that operator unscaled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -95,16 +95,14 @@ class UnsupportedProblem(ValueError):
 
 @dataclass
 class SolverConfig:
-    tol_primal: float = 1e-7
-    tol_dual: float = 1e-7
-    tol_gap: float = 1e-7
+    # bound on the scaled primal residual, the relative dual residual and
+    # the relative gap alike
+    tol: float = 1e-7
     max_iters: int = 500
-    keep_iterates: bool = False
 
     def __post_init__(self):
-        for t in (self.tol_primal, self.tol_dual, self.tol_gap):
-            if not (0.0 < t <= 1e-2):
-                raise ValueError(f"tolerances must lie in (0, 1e-2], got {t}")
+        if not (0.0 < self.tol <= 1e-2):
+            raise ValueError(f"tol must lie in (0, 1e-2], got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -122,7 +120,6 @@ class ConicSolution:
     # no solve perturbs its data; always False, kept for callers that read it
     regularized: bool = False
     message: str = ""
-    iterates: list[np.ndarray] = field(default_factory=list)
 
     def usable(self) -> bool:
         """Optimal, or stopped with every residual at most 1e-4."""
@@ -414,7 +411,6 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
     best_score = np.inf
     status = SolverStatus.MAX_ITERS
     message = ""
-    iterates: list[np.ndarray] = []
     it = 0
 
     for it in range(1, cfg.max_iters + 1):
@@ -445,9 +441,7 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
         if score < best_score:
             best_score = score
             best = (Xs.copy(), y / tau, q / tau, pobj, dobj, (pinf, dinf, gap))
-        if cfg.keep_iterates:
-            iterates.append(Xs.copy())
-        if pinf <= cfg.tol_primal and dinf <= cfg.tol_dual and gap <= cfg.tol_gap:
+        if pinf <= cfg.tol and dinf <= cfg.tol and gap <= cfg.tol:
             best = (Xs.copy(), y / tau, q / tau, pobj, dobj, (pinf, dinf, gap))
             status = SolverStatus.OPTIMAL
             break
@@ -674,13 +668,12 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
         residuals=res,
         iterations=it,
         message=message,
-        iterates=iterates,
     )
 
 
 def _solve_working(p: ConicProblem, cfg: SolverConfig, ineq_idx: np.ndarray) -> ConicSolution:
     """Solve on a working inequality set; scatter its duals to all rows and
-    lift its matrices off the face."""
+    lift its primal off the face."""
     data = _Data(p, ineq_idx)
     sol = _ipm(data, cfg)
     dual_eq, dual_ineq = np.zeros(p.num_eq), np.zeros(p.num_ineq)
@@ -688,7 +681,6 @@ def _solve_working(p: ConicProblem, cfg: SolverConfig, ineq_idx: np.ndarray) -> 
     dual_ineq[data.ineq_idx] = sol.dual_ineq
     sol.dual_eq, sol.dual_ineq = dual_eq, dual_ineq
     sol.primal = data.lift(sol.primal)
-    sol.iterates = [data.lift(X) for X in sol.iterates]
     return sol
 
 
@@ -717,7 +709,7 @@ def solve(
         return _solve_working(p, cfg, np.arange(mi))
 
     # a row outside the working set joins it when its violation over its
-    # norm exceeds half the primal tolerance that the working rows meet;
+    # norm exceeds half the tolerance that the working rows meet;
     # the most violated rows join first
     norm = _row_norms(p.operator()[p.num_eq :])
     if ineq_hint is None:
@@ -730,7 +722,7 @@ def solve(
     for _ in range(_SIFT_MAX_PASSES):
         sol = _solve_working(p, cfg, working)
         viol = p.ineq_violations(sol.primal)
-        cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol_primal * norm), working)
+        cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol * norm), working)
         if len(cand) == 0:
             return sol
         order = np.lexsort((cand, -viol[cand]))

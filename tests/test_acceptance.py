@@ -41,7 +41,7 @@ from bisectsdp.cuts import TRI_A, TRI_B
 from bisectsdp.equivalence import add_lifted_facets
 from conftest import enumerate_min_cut
 
-TIGHT = dict(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9)
+TIGHT = dict(tol=1e-9)
 
 
 def _passline(num, text):
@@ -267,12 +267,15 @@ def _reference_violated_set(X, eps):
 
 
 def test_criterion8_separation_exhaustive():
+    # neither model sifts, so a solve truncated at k iterations returns an
+    # iterate of the one IPM run; five budgets spread over the full run
     iterates = []
     for spec, m1, m2 in [("pappus", 10, 8), ("gnp:12,0.5,5", 7, 5)]:
         inst = BisectionInstance(generate(spec), m1, m2, name=spec)
-        sol = solve(build_new(inst, True), SolverConfig(keep_iterates=True))
-        take = np.linspace(0, len(sol.iterates) - 1, 5).astype(int)
-        iterates.extend(sol.iterates[t] for t in take)
+        p = build_new(inst, True)
+        full = solve(p, SolverConfig()).iterations
+        for k in np.linspace(1, full, 5).astype(int):
+            iterates.append(solve(p, SolverConfig(max_iters=int(k))).primal)
     assert len(iterates) == 10
     eps = 1e-6
     for X in iterates:

@@ -106,6 +106,26 @@ def test_cuts_reject_negative_counts(capsys, flag):
     assert flag[2:].replace("-", "_") in err
 
 
+def test_bad_tolerance_fails(capsys):
+    code, _, err = run(capsys, "solve", "--generate", "pappus", "--m", "10,8", "--tol", "0")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_brute_upper_bound_refused_before_lower_bound(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the lower bound ran before the upper bound was refused")
+
+    monkeypatch.setattr("bisectsdp.cli.cutting_plane_loop", unreachable)
+    monkeypatch.setattr("bisectsdp.cli.solve", unreachable)
+    for extra in (["--cuts", "--max-rounds", "3"], []):
+        code, _, err = run(
+            capsys, "solve", "--generate", "gnp:30,0.3,1", "--m", "15,15", "--ub", "brute", *extra
+        )
+        assert code == 2
+        assert "n <= 24" in err
+
+
 def test_instance_file_flow(tmp_path, capsys):
     path = tmp_path / "tiny.txt"
     path.write_text("4 3 3 1\n1 2\n1 3\n1 4\n")

@@ -25,7 +25,7 @@ from bisectsdp.solver import safe_lower_bound
 
 
 def tight():
-    return SolverConfig(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9)
+    return SolverConfig(tol=1e-9)
 
 
 def test_lift_integer_point_exact(gnp8):

@@ -12,7 +12,7 @@ from bisectsdp import (
     tabu_search,
 )
 from bisectsdp.graphs import adjacency
-from bisectsdp.heuristic import _gains, swap_delta
+from bisectsdp.heuristic import _gains, _swap
 from conftest import enumerate_min_cut
 
 
@@ -57,30 +57,37 @@ def test_brute_force_returns_feasible_assignment(gnp8):
     assert cut_value(gnp8.graph, a) == c
 
 
-def test_swap_delta_matches_recomputation():
+def test_swap_matches_recomputation():
+    from bisectsdp.graphs import Assignment
+
     rng = np.random.default_rng(23)
     g = gen_gnp(12, 0.5, 77)
     W = adjacency(g)
     side = np.zeros(12, dtype=bool)
     side[rng.choice(12, size=7, replace=False)] = True
+    D = _gains(W, side)
     for _ in range(30):
-        from bisectsdp.graphs import Assignment
-
-        D = _gains(W, side)
         a = int(rng.choice(np.flatnonzero(side)))
         b = int(rng.choice(np.flatnonzero(~side)))
         cut_before = cut_value(g, Assignment.from_part1(12, np.flatnonzero(side)))
-        delta = swap_delta(W, side, D, a, b)
-        side[a] = False
-        side[b] = True
+        delta = _swap(W, side, D, a, b)
+        assert not side[a] and side[b]
         cut_after = cut_value(g, Assignment.from_part1(12, np.flatnonzero(side)))
         assert cut_after - cut_before == pytest.approx(delta, abs=1e-9)
+        # the incremental gains equal the recomputed ones exactly on unit weights
+        assert np.array_equal(D, _gains(W, side))
 
 
 def test_tabu_matches_optimum_on_star(star31):
     a, c = tabu_search(star31, TabuConfig(seed=5, restarts=3))
     assert c == 1.0
     assert cut_value(star31.graph, a) == c
+
+
+@pytest.mark.parametrize("cfg", [dict(restarts=0), dict(max_iters=0)])
+def test_tabu_rejects_nonpositive_settings(gnp8, cfg):
+    with pytest.raises(ValueError, match="positive"):
+        tabu_search(gnp8, TabuConfig(**cfg))
 
 
 def test_tabu_deterministic(gnp8):

@@ -142,7 +142,7 @@ def test_redundant_trace_equality_is_harmless(gnp8):
     )
     for i in keep:
         q.add_equality(p.row(i), p.eq_rhs[i], p.eq_labels[i])
-    cfg = SolverConfig(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9)
+    cfg = SolverConfig(tol=1e-9)
     v_with = solve(p, cfg).objective_primal
     v_without = solve(q, cfg).objective_primal
     assert v_with == pytest.approx(v_without, abs=1e-6)

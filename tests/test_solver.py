@@ -22,7 +22,7 @@ from conftest import enumerate_min_cut
 
 
 def tight_cfg(**kw):
-    return SolverConfig(tol_primal=1e-9, tol_dual=1e-9, tol_gap=1e-9, **kw)
+    return SolverConfig(tol=1e-9, **kw)
 
 
 def test_min_eigenvalue_basics():
@@ -57,6 +57,12 @@ def test_solve_pappus_new_bound_in_published_range():
     sol = solve(build_new(inst, True), SolverConfig())
     assert sol.status is SolverStatus.OPTIMAL
     assert 5.0 < sol.objective_primal <= 6.0 + 1e-6
+
+
+@pytest.mark.parametrize("kw", [dict(tol=0), dict(tol=0.02), dict(tol=float("nan")), dict(max_iters=0)])
+def test_solver_config_rejects_bad_settings(kw):
+    with pytest.raises(ValueError):
+        SolverConfig(**kw)
 
 
 def test_contradictory_equalities_detected(gnp8):
@@ -189,14 +195,16 @@ def test_truncated_solve_still_certifies(gnp8, builder, max_iters):
 
 def test_determinism(gnp8):
     p = build_new(gnp8, with_nonneg=True)
-    cfg = SolverConfig(keep_iterates=True)
-    a = solve(p, cfg)
-    b = solve(p, cfg)
-    assert np.array_equal(a.primal, b.primal)
-    assert np.array_equal(a.dual_eq, b.dual_eq)
-    assert a.objective_primal == b.objective_primal
-    assert len(a.iterates) == len(b.iterates)
-    assert all(np.array_equal(x, y) for x, y in zip(a.iterates, b.iterates))
+    # truncated solves stand in for the iterates along the way
+    for max_iters in (3, 7, 500):
+        cfg = SolverConfig(max_iters=max_iters)
+        a = solve(p, cfg)
+        b = solve(p, cfg)
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.primal, b.primal)
+        assert np.array_equal(a.dual_eq, b.dual_eq)
+        assert np.array_equal(a.dual_ineq, b.dual_ineq)
+        assert a.objective_primal == b.objective_primal
 
 
 def test_bound_never_decreases_when_cut_appended(gnp8):
