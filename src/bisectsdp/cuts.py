@@ -82,8 +82,10 @@ def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
 
     Ordering is violation descending, then (kind, i, j, k) lexicographic,
     which makes the cutting-plane loop deterministic. ``limit=None`` returns
-    every violated cut.
+    every violated cut; a negative limit is a ValueError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be None or nonnegative, got {limit}")
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     d = np.diag(X).copy()

@@ -74,13 +74,11 @@ def _require_feasible(p: ConicProblem, M: np.ndarray, tol: float, relaxation: st
         )
 
 
-def _split_bordered(B: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Strip the border of a (2n+1)-order matrix, or accept a plain 2n one."""
-    N = B.shape[0]
-    if N % 2 == 1:
-        n = (N - 1) // 2
-        return n, B[0, 1:], B[1:, 1:]
-    return N // 2, np.diag(B).copy(), B
+def _split_bordered(B: np.ndarray) -> tuple[int, np.ndarray]:
+    """n and the order-2n block Y of a bordered matrix of order 2n+1."""
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] % 2 == 0:
+        raise ValueError(f"expected a square matrix of odd order 2n+1, got shape {B.shape}")
+    return (B.shape[0] - 1) // 2, B[1:, 1:]
 
 
 def lift_new_to_wz(X: np.ndarray, inst: BisectionInstance, tol: float = 1e-6) -> np.ndarray:
@@ -118,7 +116,7 @@ def project_wz_to_new(B: np.ndarray, inst: BisectionInstance, tol: float = 1e-6)
     """
     B = np.asarray(B, dtype=float)
     _require_feasible(build_wz(inst), B, tol, "vector-lifted")
-    n, _, Y = _split_bordered(B)
+    n, Y = _split_bordered(B)
     return Y[:n, :n].copy()
 
 
@@ -131,7 +129,7 @@ def project_wz_to_basic(B: np.ndarray, inst: BisectionInstance, tol: float = 1e-
     """
     B = np.asarray(B, dtype=float)
     _require_feasible(build_wz(inst), B, tol, "vector-lifted")
-    n, _, Y = _split_bordered(B)
+    n, Y = _split_bordered(B)
     return Y[:n, :n] + Y[n:, n:]
 
 
@@ -142,7 +140,7 @@ def check_linking_identities(B: np.ndarray, m1: int, m2: int, tol: float = 1e-6)
     y1 + y2 = e, and Y11 e = m1 y1, Y22 e = m2 y2.
     """
     B = np.asarray(B, dtype=float)
-    n, _, Y = _split_bordered(B)
+    n, Y = _split_bordered(B)
     Y11 = Y[:n, :n]
     Y12 = Y[:n, n:]
     Y22 = Y[n:, n:]

@@ -199,14 +199,9 @@ class ConicProblem:
 
         Returns (counts, r, c, v): row sel[t] owns the t-th run of
         ``counts[t]`` entries, sorted by (r, c). They are read off the
-        operator, whose rows hold sorted flat indices r * N + c.
+        operator by :func:`upper_entries`.
         """
-        sel = np.asarray(sel, dtype=np.intp)
-        A = self.operator()[sel]
-        r, c = np.divmod(A.indices.astype(np.intp), self.block_order)
-        upper = r <= c
-        row = np.repeat(np.arange(len(sel)), np.diff(A.indptr))[upper]
-        return np.bincount(row, minlength=len(sel)), r[upper], c[upper], A.data[upper]
+        return upper_entries(self.operator()[np.asarray(sel, dtype=np.intp)], self.block_order)
 
     def row(self, i: int) -> SymCoeff:
         """Coefficient matrix of constraint i, counted as in the operator."""
@@ -245,6 +240,18 @@ class ConicProblem:
 
     def objective_value(self, M: np.ndarray) -> float:
         return float(np.tensordot(self.obj_matrix, M)) + self.obj_offset
+
+
+def upper_entries(A: sp.csr_matrix, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle entries (counts, r, c, v) of the rows of an operator slice.
+
+    ``A`` is a row slice of an order-n operator, whose rows hold sorted flat
+    indices r * n + c. Row t owns the t-th run of ``counts[t]`` entries.
+    """
+    r, c = np.divmod(A.indices.astype(np.intp), n)
+    upper = r <= c
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))[upper]
+    return np.bincount(row, minlength=A.shape[0]), r[upper], c[upper], A.data[upper]
 
 
 def _labels(family: str, *idx: np.ndarray) -> list[str]:

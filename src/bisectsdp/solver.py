@@ -36,12 +36,15 @@ status NUMERICAL_TROUBLE, and a solve that runs out of iterations returns
 its best iterate with status MAX_ITERS; the certified bound below never
 trusts the solver's state.
 
-When the inequality list is large (elementwise nonnegativity families grow
-as O(n^2)), the solver sifts: it repeatedly solves with a working subset of
-inequalities and activates any whose violation over its norm on the whole
-block exceeds half the tolerance, which keeps the Schur complement
-small. Multipliers of never-activated rows are zero, so the returned
-solution satisfies the full problem's optimality contract.
+Every solve is one sifting loop: it repeatedly solves with a working
+subset of inequalities and activates any whose violation over its norm on
+the whole block exceeds half the tolerance. A list of at most 700
+inequalities is the first working set whole, so the first pass finds
+nothing to activate and is the solve. A longer list (elementwise
+nonnegativity families grow as O(n^2)) starts from a hint or from no rows,
+which keeps the Schur complement small. Multipliers of never-activated
+rows are zero, so the returned solution satisfies the full problem's
+optimality contract.
 
 Each working set's data is an equilibrated row slice of the problem's
 stacked operator; sifting and the safe bound apply that operator unscaled.
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .model import ConicProblem
+from .model import ConicProblem, upper_entries
 
 __all__ = [
     "SolverStatus",
@@ -179,14 +182,19 @@ class _Data:
         eq_idx = np.arange(p.num_eq)
         ineq_idx = np.asarray(ineq_idx, dtype=np.intp)
         me = p.num_eq
-        self._load(p, eq_idx, ineq_idx)
-        full_norm = _row_norms(self.A)
+        A = p.operator()[np.concatenate([eq_idx, me + ineq_idx])]
+        rhs = np.concatenate([
+            np.asarray(p.eq_rhs, dtype=float)[eq_idx],
+            np.asarray(p.ineq_rhs, dtype=float)[ineq_idx],
+        ])
+        full_norm = _row_norms(A)
         # the equalities' inner products with all rows: A A' on the whole
         # block, or on a face the reduced rows', the Schur matrix at R = I
         if self.V is None:
             norm = full_norm
-            eq_gram = (self.A[:me] @ self.A.T).toarray()
+            eq_gram = (A[:me] @ A.T).toarray()
         else:
+            self._set_rows(A, me)
             gram = self.schur(np.eye(self.n), np.zeros(self.mi))
             norm = np.sqrt(np.maximum(np.diag(gram), 0.0))
             eq_gram = gram[:me]
@@ -194,42 +202,32 @@ class _Data:
         def label(t):
             return p.eq_labels[eq_idx[t]] if t < me else p.ineq_labels[ineq_idx[t - me]]
 
-        keep = _presolve(self.rhs, label, norm, full_norm, eq_gram)
-        if not keep.all():
-            self._load(p, eq_idx[keep[:me]], ineq_idx[keep[me:]])
-            norm = norm[keep]
-        self.row_scale = 1.0 / np.maximum(norm, 1e-300)
-        self.A.data = self.A.data * np.repeat(self.row_scale, np.diff(self.A.indptr))
-        self.u = self.u * np.repeat(self.row_scale, np.diff(self._ptr))
-        self.dense_K = self.dense_K * self.row_scale[np.asarray(self._dense, dtype=bool), None, None]
-        self.rhs = self.rhs * self.row_scale
+        keep = _presolve(rhs, label, norm, full_norm, eq_gram)
+        self.eq_idx, self.ineq_idx = eq_idx[keep[:me]], ineq_idx[keep[me:]]
+        self.row_scale = 1.0 / np.maximum(norm[keep], 1e-300)
+        A = A[keep]
+        A.data = A.data * np.repeat(self.row_scale, np.diff(A.indptr))
+        self._set_rows(A, len(self.eq_idx))
+        self.rhs = rhs[keep] * self.row_scale
         self.b = self.rhs[: self.me]
         self.h = self.rhs[self.me :]
 
-    def _load(self, p: ConicProblem, eq_idx: np.ndarray, ineq_idx: np.ndarray) -> None:
-        """Unscaled rows eq_idx and ineq_idx of p."""
+    def _set_rows(self, A, me: int) -> None:
+        """Hold the operator rows A, the first me of them equalities, and
+        their entries for the Schur build."""
         n = self.N
-        self.eq_idx, self.ineq_idx = eq_idx, ineq_idx
-        self.me, self.mi = len(eq_idx), len(ineq_idx)
-        self.m = self.me + self.mi
-        sel = np.concatenate([eq_idx, p.num_eq + ineq_idx])
-        self.A = p.operator()[sel]
-        counts, r, c, v = p.rows(sel)
-        off = r != c
-        self.rhs = np.concatenate([
-            np.asarray(p.eq_rhs, dtype=float)[eq_idx],
-            np.asarray(p.ineq_rhs, dtype=float)[ineq_idx],
-        ])
-
+        self.A = A
+        self.me, self.m = me, A.shape[0]
+        self.mi = self.m - me
+        counts, self.r, self.c, v = upper_entries(A, n)
         # rows with many entries enter the Schur build as dense matrices,
         # the rest as (r, c, u) with halved diagonal values, which makes
         # T = U V^T + V U^T exact
         dense = counts > _DENSE_NNZ_FACTOR * n
-        self.dense_K = self.A[dense].toarray().reshape(-1, n, n)
+        self.dense_K = A[dense].toarray().reshape(-1, n, n)
         self._dense = dense.tolist()
         self._ptr = np.concatenate(([0], np.cumsum(counts))).tolist()
-        self.r, self.c = r, c
-        self.u = v * np.where(off, 1.0, 0.5)
+        self.u = v * np.where(self.r != self.c, 1.0, 0.5)
         self._Tbuf = None
 
     def lift(self, R: np.ndarray) -> np.ndarray:
@@ -438,11 +436,11 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
         # selection prefers late, fully polished iterates; the sum keeps a
         # marginally larger pinf from outranking a large gap improvement
         score = pinf + dinf + gap
-        if score < best_score:
+        optimal = pinf <= cfg.tol and dinf <= cfg.tol and gap <= cfg.tol
+        if optimal or score < best_score:
             best_score = score
             best = (Xs.copy(), y / tau, q / tau, pobj, dobj, (pinf, dinf, gap))
-        if pinf <= cfg.tol and dinf <= cfg.tol and gap <= cfg.tol:
-            best = (Xs.copy(), y / tau, q / tau, pobj, dobj, (pinf, dinf, gap))
+        if optimal:
             status = SolverStatus.OPTIMAL
             break
         if not np.isfinite(score):
@@ -542,22 +540,27 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
             dZ = 0.5 * (dZ + dZ.T)
             return dX, du, dy_, dZ, dq, dtau, dkap
 
+        def step(d, frac):
+            """Longest step, capped at 1, that takes frac of the way to the
+            cone boundary along direction d."""
+            dX, du, _, dZ, dq, dtau, dkap = d
+            terms = (
+                _max_step_psd(Lx, dX),
+                _max_step_vec(u, du),
+                _max_step_psd(Lz, dZ),
+                _max_step_vec(q, dq),
+                _max_step_vec(np.array([tau, kappa]), np.array([dtau, dkap])),
+            )
+            return min(1.0, *(frac * a for a in terms))
+
         # predictor
-        dX_a, du_a, dy_a, dZ_a, dq_a, dtau_a, dkap_a = direction(
-            -X, -u if mi else np.empty(0), -tau * kappa
-        )
+        aff = direction(-X, -u if mi else np.empty(0), -tau * kappa)
+        dX_a, du_a, _, dZ_a, dq_a, dtau_a, dkap_a = aff
         if not np.all(np.isfinite(dX_a)) or not np.isfinite(dtau_a):
             status = SolverStatus.NUMERICAL_TROUBLE
             message = "non-finite search direction"
             break
-        a_aff = min(
-            1.0,
-            _max_step_psd(Lx, dX_a),
-            _max_step_vec(u, du_a),
-            _max_step_psd(Lz, dZ_a),
-            _max_step_vec(q, dq_a),
-            _max_step_vec(np.array([tau, kappa]), np.array([dtau_a, dkap_a])),
-        )
+        a_aff = step(aff, 1.0)
         mu_aff = (
             float(np.tensordot(X + a_aff * dX_a, Z + a_aff * dZ_a))
             + float((u + a_aff * du_a) @ (q + a_aff * dq_a))
@@ -565,46 +568,32 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
         ) / (n + mi + 1)
         sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
-        # corrector
         Ginv = sla.solve_triangular(
             Lx.T, Vtv.T * np.sqrt(sv), lower=False, check_finite=False
         ).T
+        denom = 0.5 * (sv[:, None] + sv[None, :])
+
+        def centred(s, corr, uq_corr, tk_corr):
+            """Direction toward s*mu on the central path, less the given
+            second-order corrections of the matrix, slack and tau-kappa
+            products."""
+            Hs = (s * mu * np.eye(n) - np.diag(sv**2) - corr) / denom
+            r_uq = (s * mu - u * q - uq_corr) / q if mi else np.empty(0)
+            return direction(G @ Hs @ G.T, r_uq, s * mu - tau * kappa - tk_corr)
+
+        # corrector
         Dx_a = Ginv @ dX_a @ Ginv.T
         Dz_a = G.T @ dZ_a @ G
         corr = 0.5 * (Dx_a @ Dz_a + Dz_a @ Dx_a)
-        denom = 0.5 * (sv[:, None] + sv[None, :])
-        Hs = (sigma * mu * np.eye(n) - np.diag(sv**2) - corr) / denom
-        Rxz = G @ Hs @ G.T
-        r_uq = (sigma * mu - u * q - du_a * dq_a) / q if mi else np.empty(0)
-        rc_tau = sigma * mu - tau * kappa - dtau_a * dkap_a
-
-        dX, du, dy, dZ, dq, dtau, dkap = direction(Rxz, r_uq, rc_tau)
-
-        def max_alpha(dX_, du_, dZ_, dq_, dtau_, dkap_):
-            return min(
-                1.0,
-                _STEP_FRACTION * _max_step_psd(Lx, dX_),
-                _STEP_FRACTION * _max_step_vec(u, du_),
-                _STEP_FRACTION * _max_step_psd(Lz, dZ_),
-                _STEP_FRACTION * _max_step_vec(q, dq_),
-                _STEP_FRACTION
-                * _max_step_vec(np.array([tau, kappa]), np.array([dtau_, dkap_])),
-            )
-
-        alpha = max_alpha(dX, du, dZ, dq, dtau, dkap)
+        d = centred(sigma, corr, du_a * dq_a, dtau_a * dkap_a)
+        alpha = step(d, _STEP_FRACTION)
         if alpha < 0.25 * min(a_aff, 1.0):
             # second-order correction overshot the cone; retake a plain
             # centered step
-            sigma_fb = max(sigma, 0.3)
-            Hs = (sigma_fb * mu * np.eye(n) - np.diag(sv**2)) / denom
-            Rxz = G @ Hs @ G.T
-            r_uq = (sigma_fb * mu - u * q) / q if mi else np.empty(0)
-            rc_tau = sigma_fb * mu - tau * kappa
-            cand = direction(Rxz, r_uq, rc_tau)
-            alpha_fb = max_alpha(cand[0], cand[1], cand[3], cand[4], cand[5], cand[6])
+            cand = centred(max(sigma, 0.3), 0.0, 0.0, 0.0)
+            alpha_fb = step(cand, _STEP_FRACTION)
             if alpha_fb > alpha:
-                dX, du, dy, dZ, dq, dtau, dkap = cand
-                alpha = alpha_fb
+                d, alpha = cand, alpha_fb
 
         # centrality correctors: when the step is short, pull the trial
         # complementarity spectrum back into a box around its mean so the
@@ -613,6 +602,7 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
             if alpha >= 0.6:
                 break
             a_try = min(1.0, alpha + 0.3)
+            dX, du, _, dZ, dq, dtau, dkap = d
             Dx_t = Ginv @ dX @ Ginv.T
             Dz_t = G.T @ dZ @ G
             Sig = np.diag(sv)
@@ -633,25 +623,20 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
             r_uq_add = (np.clip(p_lp, lo, hi) - p_lp) / q if mi else np.empty(0)
             rc_add = np.clip(p_tk, lo, hi) - p_tk
             add = direction(Rxz_add, r_uq_add, rc_add, linear=False)
-            cand = tuple(a + b for a, b in zip((dX, du, dy, dZ, dq, dtau, dkap), add))
-            alpha_c = max_alpha(cand[0], cand[1], cand[3], cand[4], cand[5], cand[6])
+            cand = tuple(a + b for a, b in zip(d, add))
+            alpha_c = step(cand, _STEP_FRACTION)
             if alpha_c <= 1.01 * alpha:
                 break
-            dX, du, dy, dZ, dq, dtau, dkap = cand
-            alpha = alpha_c
+            d, alpha = cand, alpha_c
 
         if alpha < 1e-10:
             status = SolverStatus.NUMERICAL_TROUBLE
             message = "step length collapsed"
             break
 
-        X = X + alpha * dX
-        u = u + alpha * du
-        y = y + alpha * dy
-        q = q + alpha * dq
-        Z = Z + alpha * dZ
-        tau = tau + alpha * dtau
-        kappa = kappa + alpha * dkap
+        X, u, y, Z, q, tau, kappa = (
+            v + alpha * dv for v, dv in zip((X, u, y, Z, q, tau, kappa), d)
+        )
         X = 0.5 * (X + X.T)
         Z = 0.5 * (Z + Z.T)
 
@@ -671,30 +656,18 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
     )
 
 
-def _solve_working(p: ConicProblem, cfg: SolverConfig, ineq_idx: np.ndarray) -> ConicSolution:
-    """Solve on a working inequality set; scatter its duals to all rows and
-    lift its primal off the face."""
-    data = _Data(p, ineq_idx)
-    sol = _ipm(data, cfg)
-    dual_eq, dual_ineq = np.zeros(p.num_eq), np.zeros(p.num_ineq)
-    dual_eq[data.eq_idx] = sol.dual_eq
-    dual_ineq[data.ineq_idx] = sol.dual_ineq
-    sol.dual_eq, sol.dual_ineq = dual_eq, dual_ineq
-    sol.primal = data.lift(sol.primal)
-    return sol
-
-
 def solve(
     p: ConicProblem,
     cfg: SolverConfig | None = None,
     ineq_hint: np.ndarray | None = None,
 ) -> ConicSolution:
-    """Solve a conic problem; sift inequalities when there are many.
+    """Solve a conic problem on a sifted working set of its inequalities.
 
-    ``ineq_hint`` preselects inequality rows for the initial working set of
-    the sifting loop (callers that solve a sequence of related problems pass
-    the previously active rows). The interior-point iterations themselves
-    always start cold.
+    A list of at most 700 inequalities is the first working set whole, so
+    its first pass finds nothing to activate and is the solve. A longer
+    list starts from ``ineq_hint`` (callers that solve a sequence of
+    related problems pass the previously active rows), or from none. The
+    interior-point iterations themselves always start cold.
 
     Returns the best iterate found together with the objective values and
     the (primal infeasibility, dual infeasibility, relative gap) triple.
@@ -705,22 +678,28 @@ def solve(
             f"block order {p.block_order} exceeds cap {_BLOCK_ORDER_CAP}"
         )
     mi = p.num_ineq
-    if mi <= _SIFT_THRESHOLD:
-        return _solve_working(p, cfg, np.arange(mi))
-
     # a row outside the working set joins it when its violation over its
     # norm exceeds half the tolerance that the working rows meet;
     # the most violated rows join first
     norm = _row_norms(p.operator()[p.num_eq :])
-    if ineq_hint is None:
+    if mi <= _SIFT_THRESHOLD:
+        working = np.arange(mi)
+    elif ineq_hint is None:
         working = np.empty(0, dtype=int)
     else:
         working = np.unique(np.asarray(ineq_hint, dtype=int))
         working = working[(working >= 0) & (working < mi)]
-    sol = None
     batch = max(4 * p.block_order, 400)
     for _ in range(_SIFT_MAX_PASSES):
-        sol = _solve_working(p, cfg, working)
+        # solve on the working set, then scatter its duals to all rows and
+        # lift its primal off the face
+        data = _Data(p, working)
+        sol = _ipm(data, cfg)
+        dual_eq, dual_ineq = np.zeros(p.num_eq), np.zeros(mi)
+        dual_eq[data.eq_idx] = sol.dual_eq
+        dual_ineq[data.ineq_idx] = sol.dual_ineq
+        sol.dual_eq, sol.dual_ineq = dual_eq, dual_ineq
+        sol.primal = data.lift(sol.primal)
         viol = p.ineq_violations(sol.primal)
         cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol * norm), working)
         if len(cand) == 0:

@@ -87,6 +87,17 @@ def test_separation_order_and_limit():
     assert [c.key() for c in again] == [c.key() for c in cuts]
 
 
+def test_separate_rejects_a_negative_limit():
+    # every triangle of this X is a violated TRI_B cut; slicing the order
+    # with -1 would drop the weakest of the four without a word
+    X = np.full((4, 4), 0.5)
+    np.fill_diagonal(X, 0.9)
+    assert len(separate(X, limit=None)) == 4
+    assert separate(X, limit=0) == []
+    with pytest.raises(ValueError, match="limit must be None or nonnegative, got -1"):
+        separate(X, limit=-1)
+
+
 def test_cut_validity_on_all_boolean_points():
     # facet check: every cut holds at every 0/1 lift X = z z^T
     rng = np.random.default_rng(9)

@@ -138,6 +138,12 @@ def test_linking_identities_on_solver_solution():
     assert rep.passed, rep.family_residuals
 
 
+@pytest.mark.parametrize("shape", [(12, 12), (13, 12)])
+def test_linking_identities_reject_a_matrix_without_a_border(shape):
+    with pytest.raises(ValueError, match=rf"odd order 2n\+1, got shape \({shape[0]}, {shape[1]}\)"):
+        check_linking_identities(np.zeros(shape), 4, 2)
+
+
 def test_bordered_equivalence_positive_cases(gnp8):
     assert check_bordered_psd_equivalence(strictly_feasible_point(gnp8))
     z = np.zeros(8)

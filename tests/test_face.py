@@ -110,6 +110,16 @@ def test_order_n_solve_passes_the_lift(spec, m1, m2):
     lift_new_to_wz(sol.primal, inst)
 
 
+def test_kkt_refinement_keeps_a_tight_face_solve_optimal():
+    # criterion 2's battery instance 1 at tolerance 1e-9: without the
+    # two-pass refinement of each direction against the full Newton system
+    # a Schur factorization breaks down and the solve ends NUMERICAL_TROUBLE,
+    # under one BLAS thread and under two
+    inst = BisectionInstance(gen_gnp(11, 0.3, 275002), 6, 5)
+    sol = solve(build_wz(inst), SolverConfig(tol=1e-9))
+    assert sol.status is SolverStatus.OPTIMAL, sol.message
+
+
 def test_face_safe_bound_matches_order_n(solved_cell):
     inst, p_wz, sol_wz, p_new, sol_new = solved_cell
     opt, _ = enumerate_min_cut(inst)
