@@ -19,8 +19,9 @@ Builders append each family of constraint rows as one batch of flat
 upper-triangle arrays ``r``, ``c`` and ``v`` with a count of entries per
 row, beside the rows' right-hand sides and labels. The batches are joined
 into one stacked operator, rebuilt after appends; residuals, the solver's
-data and the safe bound apply it, and ``ConicProblem.rows`` reads a row
-selection's upper-triangle entries back off it.
+data and the safe bound apply it, and ``upper_entries`` reads a row
+slice's upper-triangle entries back off it for ``ConicProblem.rows`` and
+the solver's data.
 """
 
 from __future__ import annotations
