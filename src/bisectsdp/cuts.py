@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import BisectionInstance
-from .model import ConicProblem, RelaxationKind, SymCoeff, build_new
+from .model import ConicProblem, RelaxationKind, build_new
 from .report import BoundReport, RoundTrace, ceil_bound
 from .solver import SolverConfig, safe_lower_bound, solve
 
@@ -59,10 +59,6 @@ class Cut:
             # x_i + x_j + x_k - X_ij - X_ik - X_jk
             r, c, v = (i, j, k, i, i, j), (i, j, k, j, k, k), [1.0, 1.0, 1.0, -0.5, -0.5, -0.5]
         return list(map(min, r, c)), list(map(max, r, c)), v
-
-    def coeff(self) -> SymCoeff:
-        r, c, v = self.entries()
-        return SymCoeff.from_entries(dict(zip(zip(r, c), v)))
 
     def rhs(self) -> float:
         return 0.0 if self.kind == TRI_A else 1.0
@@ -180,6 +176,8 @@ class LoopConfig:
             raise ValueError(f"max_rounds must be nonnegative, got {self.max_rounds}")
         if self.cuts_per_round is not None and self.cuts_per_round < 0:
             raise ValueError(f"cuts_per_round must be nonnegative, got {self.cuts_per_round}")
+        if not 0.0 <= self.eps < np.inf:
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
 
 
 def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -> BoundReport:

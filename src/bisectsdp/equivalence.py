@@ -66,6 +66,9 @@ def feasibility_report(p: ConicProblem, M: np.ndarray, tol: float = 1e-6) -> Fea
 
 
 def _require_feasible(p: ConicProblem, M: np.ndarray, tol: float, relaxation: str) -> None:
+    N = p.block_order
+    if M.shape != (N, N):
+        raise ValueError(f"the {relaxation} relaxation of this instance needs shape {(N, N)}, got {M.shape}")
     rep = feasibility_report(p, M, tol)
     if not rep.passed:
         raise ValueError(

@@ -36,7 +36,6 @@ import scipy.sparse as sp
 from .graphs import BisectionInstance, laplacian
 
 __all__ = [
-    "SymCoeff",
     "RelaxationKind",
     "ConicProblem",
     "build_basic",
@@ -55,42 +54,6 @@ class RelaxationKind(enum.Enum):
     NEW = "new"
     NEW_BARE = "new-bare"
     WZ = "wz"
-
-
-@dataclass(frozen=True)
-class SymCoeff:
-    """Symmetric coefficient matrix stored as upper-triangle COO.
-
-    The stored value is the matrix entry K[r, c] (r <= c); the inner product
-    <K, M> therefore counts off-diagonal entries twice.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @staticmethod
-    def from_entries(entries: dict[tuple[int, int], float]) -> "SymCoeff":
-        items = sorted((r, c, v) for (r, c), v in entries.items() if v != 0.0)
-        if any(r > c for r, c, _ in items):
-            raise ValueError("entries must be upper triangle (r <= c)")
-        rows = np.array([r for r, _, _ in items], dtype=np.intp)
-        cols = np.array([c for _, c, _ in items], dtype=np.intp)
-        vals = np.array([v for _, _, v in items], dtype=float)
-        return SymCoeff(rows, cols, vals)
-
-    def inner_weights(self) -> np.ndarray:
-        """Per-entry weights so that <K, M> = w . M[rows, cols]."""
-        return self.vals * np.where(self.rows == self.cols, 1.0, 2.0)
-
-    def inner(self, M: np.ndarray) -> float:
-        return float(self.inner_weights() @ M[self.rows, self.cols])
-
-    def to_dense(self, n: int) -> np.ndarray:
-        K = np.zeros((n, n))
-        K[self.rows, self.cols] = self.vals
-        K[self.cols, self.rows] = self.vals
-        return K
 
 
 @dataclass
@@ -146,12 +109,6 @@ class ConicProblem:
         """Append a batch of inequality rows; see :meth:`add_equalities`."""
         self._append(self._ineq, self.ineq_rhs, self.ineq_labels, r, c, v, rhs, labels, counts)
 
-    def add_equality(self, coeff: SymCoeff, rhs: float, label: str) -> None:
-        self.add_equalities(coeff.rows, coeff.cols, coeff.vals, rhs, [label])
-
-    def add_inequality(self, coeff: SymCoeff, rhs: float, label: str) -> None:
-        self.add_inequalities(coeff.rows, coeff.cols, coeff.vals, rhs, [label])
-
     def _append(self, batches, rhs_list, label_list, r, c, v, rhs, labels, counts) -> None:
         labels = list(labels)
         fresh = set(labels)
@@ -204,10 +161,6 @@ class ConicProblem:
         """
         return upper_entries(self.operator()[np.asarray(sel, dtype=np.intp)], self.block_order)
 
-    def row(self, i: int) -> SymCoeff:
-        """Coefficient matrix of constraint i, counted as in the operator."""
-        return SymCoeff(*self.rows([i])[1:])
-
     def operator(self) -> sp.csr_matrix:
         """Stacked operator, equalities first: row i maps vec(M) to <K_i, M>.
 
@@ -215,7 +168,7 @@ class ConicProblem:
         twice). Built on first use and again after an append.
         """
         if self._operator is None:
-            # joining keeps a run of one-row appends linear in the row count
+            # joining keeps a run of small appends linear in the row count
             for batches in (self._eq, self._ineq):
                 batches[:] = [tuple(np.concatenate(a) for a in zip(*batches))]
             counts, r, c, v = (np.concatenate(a) for a in zip(self._eq[0], self._ineq[0]))
@@ -445,16 +398,20 @@ def integer_point(inst: BisectionInstance, z: np.ndarray, kind: RelaxationKind) 
 # text serialization (debugging / cross-solver verification)
 # ---------------------------------------------------------------------------
 
-def _coeff_to_text(k: SymCoeff) -> str:
-    return " ".join(f"{r + 1},{c + 1},{v:.17g}" for r, c, v in zip(k.rows, k.cols, k.vals))
+def _entries_to_text(r, c, v) -> list[str]:
+    """1-based 'row,col,value' triplets of the entries (r, c, v)."""
+    return [f"{a + 1},{b + 1},{x:.17g}" for a, b, x in zip(r.tolist(), c.tolist(), v.tolist())]
 
 
-def _coeff_from_text(tok: str) -> SymCoeff:
-    entries = {}
-    for t in tok.split():
-        r, c, v = t.split(",")
-        entries[(int(r) - 1, int(c) - 1)] = float(v)
-    return SymCoeff.from_entries(entries)
+def _entries_from_text(tok: str) -> list[tuple[int, int, float]]:
+    """0-based (r, c, v) entries of the 1-based triplets in ``tok``."""
+    return [(int(r) - 1, int(c) - 1, float(v)) for r, c, v in (t.split(",") for t in tok.split())]
+
+
+def _columns(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, c, v) arrays of a list of (r, c, v) entries."""
+    t = np.array(entries, dtype=float).reshape(-1, 3)
+    return t[:, 0].astype(np.intp), t[:, 1].astype(np.intp), t[:, 2]
 
 
 def problem_to_text(p: ConicProblem) -> str:
@@ -471,26 +428,27 @@ def problem_to_text(p: ConicProblem) -> str:
     if p.kind is not None:
         out.write(f"* kind {p.kind.value}\n")
     r, c = np.triu_indices(p.block_order)
-    mask = p.obj_matrix[r, c] != 0.0
-    obj = SymCoeff(r[mask], c[mask], p.obj_matrix[r, c][mask])
-    out.write(f"objective | {_coeff_to_text(obj)} | 0 | min\n")
+    nz = p.obj_matrix[r, c] != 0.0
+    obj = " ".join(_entries_to_text(r[nz], c[nz], p.obj_matrix[r[nz], c[nz]]))
+    out.write(f"objective | {obj} | 0 | min\n")
     senses = ["="] * p.num_eq + ["<="] * p.num_ineq
     counts, r, c, v = p.rows(np.arange(len(senses)))
-    cut = np.cumsum(counts)[:-1]
-    coeffs = map(SymCoeff, np.split(r, cut), np.split(c, cut), np.split(v, cut))
-    rows = zip(p.eq_labels + p.ineq_labels, coeffs, p.eq_rhs + p.ineq_rhs, senses)
-    for lab, k, b, sense in rows:
-        out.write(f"{lab} | {_coeff_to_text(k)} | {b:.17g} | {sense}\n")
+    triplets = _entries_to_text(r, c, v)
+    ends = np.cumsum(counts).tolist()
+    rows = zip(p.eq_labels + p.ineq_labels, ends, counts.tolist(), p.eq_rhs + p.ineq_rhs, senses)
+    for lab, end, k, b, sense in rows:
+        out.write(f"{lab} | {' '.join(triplets[end - k : end])} | {b:.17g} | {sense}\n")
     return out.getvalue()
 
 
 def problem_from_text(text: str) -> ConicProblem:
+    """Inverse of :func:`problem_to_text`; each sense's rows are appended as one batch."""
     block_order = None
     offset = 0.0
     trace_constant = None
     kind = None
     obj = None
-    rows = []
+    rows = {"=": [], "<=": []}  # sense -> (label, rhs, entries) per row
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
@@ -508,23 +466,28 @@ def problem_from_text(text: str) -> ConicProblem:
             continue
         lab, tok, rhs, sense = (t.strip() for t in ln.split("|"))
         if lab == "objective":
-            obj = _coeff_from_text(tok)
-            continue
-        rows.append((lab, _coeff_from_text(tok), float(rhs), sense))
+            obj = _entries_from_text(tok)
+        elif sense in rows:
+            rows[sense].append((lab, float(rhs), _entries_from_text(tok)))
+        else:
+            raise ValueError(f"unknown sense {sense!r}")
     if block_order is None or obj is None:
         raise ValueError("missing block_order header or objective line")
+    r, c, v = _columns(obj)
+    if np.any(r > c):
+        raise ValueError("objective entries must be upper triangle (r <= c)")
+    K = np.zeros((block_order, block_order))
+    K[r, c] = v
+    K[c, r] = v
     p = ConicProblem(
         block_order=block_order,
-        obj_matrix=obj.to_dense(block_order),
+        obj_matrix=K,
         obj_offset=offset,
         kind=kind,
         trace_constant=trace_constant,
     )
-    for lab, k, rhs, sense in rows:
-        if sense == "=":
-            p.add_equality(k, rhs, lab)
-        elif sense == "<=":
-            p.add_inequality(k, rhs, lab)
-        else:
-            raise ValueError(f"unknown sense {sense!r}")
+    for add, batch in ((p.add_equalities, rows["="]), (p.add_inequalities, rows["<="])):
+        if batch:
+            labels, rhs, entries = zip(*batch)
+            add(*_columns([e for row in entries for e in row]), rhs, labels, counts=list(map(len, entries)))
     return p

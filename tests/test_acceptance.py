@@ -217,12 +217,13 @@ def test_criterion6_integer_point_calibration():
 # -- criterion 7: strict feasibility of the interior point -------------------
 
 def test_criterion7_strict_feasibility():
-    def residual(coeff, b, X):
+    def residual(row, b, X):
         # compensated summation: plain dot products add ~2e-12 evaluation
         # noise at n=50, which would swamp the quantity under test
+        _, r, c, v = row
         terms = [
-            w * X[r, c]
-            for r, c, w in zip(coeff.rows, coeff.cols, coeff.inner_weights())
+            w * X[i, j]
+            for i, j, w in zip(r, c, np.where(r == c, 1.0, 2.0) * v)
         ]
         return abs(math.fsum(terms) - b)
 
@@ -236,7 +237,7 @@ def test_criterion7_strict_feasibility():
             inst = BisectionInstance(gen_gnp(n, 0.0, 1), m1, m2)
             p = build_new(inst, with_nonneg=False)
             X = strictly_feasible_point(inst)
-            r = max(residual(p.row(i), b, X) for i, b in enumerate(p.eq_rhs))
+            r = max(residual(p.rows([i]), b, X) for i, b in enumerate(p.eq_rhs))
             lam = min_eigenvalue(X)
             worst_res = max(worst_res, r)
             worst_eig = min(worst_eig, lam)

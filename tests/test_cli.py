@@ -96,10 +96,14 @@ def test_cuts_require_new_relaxation(capsys):
     assert "relaxation new" in err
 
 
-@pytest.mark.parametrize("flag", ["--max-rounds", "--cuts-per-round"])
-def test_cuts_reject_negative_counts(capsys, flag):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-rounds", "-1"), ("--cuts-per-round", "-1"), ("--eps", "-1"), ("--eps", "nan")],
+    ids=["--max-rounds", "--cuts-per-round", "--eps=-1", "--eps=nan"],
+)
+def test_cuts_reject_negative_counts(capsys, flag, value):
     code, _, err = run(
-        capsys, "solve", "--generate", "pappus", "--m", "10,8", "--cuts", flag, "-1"
+        capsys, "solve", "--generate", "pappus", "--m", "10,8", "--cuts", flag, value
     )
     assert code == 2
     assert err.startswith("error:")

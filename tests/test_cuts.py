@@ -98,6 +98,12 @@ def test_separate_rejects_a_negative_limit():
         separate(X, limit=-1)
 
 
+def inner(r, c, v, M):
+    """<K, M> of the upper-triangle entries (r, c, v); off-diagonals count twice."""
+    r, c = np.asarray(r), np.asarray(c)
+    return float(np.where(r == c, 1.0, 2.0) * np.asarray(v) @ M[r, c])
+
+
 def test_cut_validity_on_all_boolean_points():
     # facet check: every cut holds at every 0/1 lift X = z z^T
     rng = np.random.default_rng(9)
@@ -122,12 +128,12 @@ def test_cut_validity_on_all_boolean_points():
             assert lhs.max() <= 1
         # coefficient row agrees with the direct evaluation
         X = np.outer(zs[123], zs[123])
-        assert cut.coeff().inner(X) - cut.rhs() == pytest.approx(cut.evaluate(X), abs=1e-12)
+        assert inner(*cut.entries(), X) - cut.rhs() == pytest.approx(cut.evaluate(X), abs=1e-12)
 
 
 def test_every_cut_row_matches_its_evaluation():
     # every triple at n = 5, k = 0 included; each row is read back both from
-    # coeff() and from the problem after append_cuts
+    # entries() and from the problem after append_cuts
     n = 5
     inst = BisectionInstance(gen_gnp(n, 0.5, 3), 3, 2)
     rng = np.random.default_rng(4)
@@ -142,14 +148,14 @@ def test_every_cut_row_matches_its_evaluation():
     p = build_new(inst, with_nonneg=False)
     append_cuts(p, cuts)
     for t, cut in enumerate(cuts):
-        row = p.row(p.num_eq + t)
-        assert len(row.vals) == (4 if cut.kind == TRI_A else 6)
+        row = p.rows([p.num_eq + t])[1:]
+        assert len(row[2]) == (4 if cut.kind == TRI_A else 6)
         for M in points:
-            assert cut.coeff().inner(M) - cut.rhs() == pytest.approx(cut.evaluate(M), abs=1e-12)
-            assert row.inner(M) - cut.rhs() == pytest.approx(cut.evaluate(M), abs=1e-12)
+            assert inner(*cut.entries(), M) - cut.rhs() == pytest.approx(cut.evaluate(M), abs=1e-12)
+            assert inner(*row, M) - cut.rhs() == pytest.approx(cut.evaluate(M), abs=1e-12)
     # z = (1, 1, 0, 0, 0) satisfies tri-a(1,2,0) with equality
     z = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    assert Cut(TRI_A, 1, 2, 0).coeff().inner(np.outer(z, z)) == 0.0
+    assert inner(*Cut(TRI_A, 1, 2, 0).entries(), np.outer(z, z)) == 0.0
 
 
 def test_append_cuts_semantics(gnp8):

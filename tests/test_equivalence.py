@@ -68,6 +68,17 @@ def test_lift_rejects_infeasible_input(gnp8):
         lift_new_to_wz(X, gnp8)
 
 
+@pytest.mark.parametrize(
+    "map_, order, expected",
+    [(lift_new_to_wz, 7, 6), (project_wz_to_new, 12, 13), (project_wz_to_basic, 12, 13)],
+)
+def test_maps_check_the_input_order_first(map_, order, expected):
+    inst = BisectionInstance(gen_gnp(6, 0.5, 7), 4, 2)
+    shapes = rf"needs shape \({expected}, {expected}\), got \({order}, {order}\)"
+    with pytest.raises(ValueError, match=shapes):
+        map_(np.zeros((order, order)), inst)
+
+
 def test_schur_style_psd_identity():
     # the lifted slack difference is PSD: quadratic form identity on z1 - z2
     rng = np.random.default_rng(4)

@@ -22,19 +22,12 @@ from bisectsdp import (
     strictly_feasible_point,
 )
 from bisectsdp.equivalence import add_lifted_facets
-from bisectsdp.model import SymCoeff, problem_from_text, problem_to_text
+from bisectsdp.model import problem_from_text, problem_to_text
 
 
 def random_assignment(inst, rng):
     part1 = rng.choice(inst.n, size=inst.m1, replace=False)
     return Assignment.from_part1(inst.n, part1)
-
-
-def test_sym_coeff_inner_counts_off_diagonals_twice():
-    k = SymCoeff.from_entries({(0, 1): 0.5, (1, 1): 2.0})
-    M = np.array([[1.0, 3.0], [3.0, 4.0]])
-    assert k.inner(M) == 0.5 * 3.0 * 2 + 2.0 * 4.0
-    assert np.array_equal(k.to_dense(2), np.array([[0.0, 0.5], [0.5, 2.0]]))
 
 
 def test_build_basic_counts(star31):
@@ -141,7 +134,7 @@ def test_redundant_trace_equality_is_harmless(gnp8):
         trace_constant=p.trace_constant,
     )
     for i in keep:
-        q.add_equality(p.row(i), p.eq_rhs[i], p.eq_labels[i])
+        q.add_equalities(*p.rows([i])[1:], p.eq_rhs[i], [p.eq_labels[i]])
     cfg = SolverConfig(tol=1e-9)
     v_with = solve(p, cfg).objective_primal
     v_without = solve(q, cfg).objective_primal
@@ -151,7 +144,7 @@ def test_redundant_trace_equality_is_harmless(gnp8):
 def test_unique_labels_enforced(star31):
     p = build_basic(star31)
     with pytest.raises(ValueError, match="duplicate"):
-        p.add_equality(SymCoeff.from_entries({(0, 0): 1.0}), 1.0, "diag(0)")
+        p.add_equalities(0, 0, 1.0, 1.0, ["diag(0)"])
 
 
 def test_problem_text_round_trip(gnp8):
@@ -169,6 +162,12 @@ def test_problem_text_round_trip(gnp8):
     assert np.allclose(q.eq_residuals(M), p.eq_residuals(M), atol=1e-12)
     assert np.allclose(q.ineq_violations(M), p.ineq_violations(M), atol=1e-12)
     assert q.objective_value(M) == pytest.approx(p.objective_value(M), abs=1e-12)
+
+
+def test_problem_text_rejects_an_entry_named_twice():
+    text = "* block_order 3\nobjective | 1,1,1 | 0 | min\ndup | 1,2,1 1,2,3 | 0 | =\n"
+    with pytest.raises(ValueError, match="names the same entry twice"):
+        problem_from_text(text)
 
 
 CUTS = [Cut("tri-a", 0, 1, 2), Cut("tri-b", 0, 1, 2), Cut("tri-a", 3, 5, 7)]
@@ -200,10 +199,10 @@ def test_operator_rows_equal_exact_row_sums(gnp8):
         # small integers keep every product and partial sum exact
         M = rng.integers(-4, 5, size=(N, N)).astype(float)
         M = M + M.T
-        rows = [p.row(i) for i in range(p.num_eq + p.num_ineq)]
+        rows = [p.rows([i])[1:] for i in range(p.num_eq + p.num_ineq)]
         exact = [
-            math.fsum(w * M[r, c] for r, c, w in zip(k.rows, k.cols, k.inner_weights()))
-            for k in rows
+            math.fsum(w * M[a, b] for a, b, w in zip(r, c, np.where(r == c, 1.0, 2.0) * v))
+            for r, c, v in rows
         ]
         assert (p.operator() @ M.ravel()).tolist() == exact, name
 
@@ -227,6 +226,7 @@ def test_problem_text_digest_is_pinned(gnp8, name, digest):
     add_lifted_facets(lifted)
     text = problem_to_text(problems[name])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert problem_to_text(problem_from_text(text)) == text
 
 
 def test_lifted_facets_need_the_lifted_relaxation(gnp8):
@@ -254,6 +254,6 @@ def test_ragged_batch_and_row_selection(gnp8):
     counts, r, c, v = q.rows(sel)
     ends = np.cumsum(counts)
     for t, i in enumerate(sel):
-        k, s = q.row(i), slice(ends[t] - counts[t], ends[t])
+        (_, ri, ci, vi), s = q.rows([i]), slice(ends[t] - counts[t], ends[t])
         assert (r[s].tolist(), c[s].tolist(), v[s].tolist()) == (
-            k.rows.tolist(), k.cols.tolist(), k.vals.tolist())
+            ri.tolist(), ci.tolist(), vi.tolist())

@@ -17,7 +17,6 @@ from bisectsdp import (
     solve,
     strictly_feasible_point,
 )
-from bisectsdp.model import SymCoeff
 from conftest import enumerate_min_cut
 
 
@@ -67,11 +66,8 @@ def test_solver_config_rejects_bad_settings(kw):
 
 def test_contradictory_equalities_detected(gnp8):
     p = build_new(gnp8, with_nonneg=False)
-    p.add_equality(
-        SymCoeff.from_entries({(i, i): 1.0 for i in range(gnp8.n)}),
-        gnp8.m1 + 1.0,
-        "trace-conflict",
-    )
+    idx = np.arange(gnp8.n)
+    p.add_equalities(idx, idx, 1.0, gnp8.m1 + 1.0, ["trace-conflict"])
     with pytest.raises(ValueError, match="'trace-conflict' contradicts"):
         solve(p, SolverConfig(max_iters=200))
 
@@ -87,7 +83,7 @@ def test_short_independent_equalities_are_kept(gnp8):
     short = np.where(idx == 0, 1e-5, 1.0)
     p.add_equalities(idx, idx, short, short, [f"diag({i})" for i in idx])
     p.add_equalities(*np.triu_indices(n), 1.0, base.eq_rhs[-1], ["j-trace"])
-    p.add_equality(SymCoeff.from_entries({(0, 1): 1e-5}), 0.0, "short-x01")
+    p.add_equalities(0, 1, 1e-5, 0.0, ["short-x01"])
     sol = solve(p, SolverConfig())
     assert sol.status is SolverStatus.OPTIMAL
     assert np.all(sol.dual_eq != 0.0)
@@ -106,7 +102,7 @@ def test_weak_duality_on_optimal_solves(gnp8):
 def test_safe_bound_formula_by_hand():
     # min <I,X> s.t. tr X = 1: optimum 1; a hand-made dual with lambda < 0
     p = ConicProblem(block_order=2, obj_matrix=np.eye(2), trace_constant=1.0)
-    p.add_equality(SymCoeff.from_entries({(0, 0): 1.0, (1, 1): 1.0}), 1.0, "trace")
+    p.add_equalities([0, 1], [0, 1], 1.0, 1.0, ["trace"])
     from bisectsdp.solver import ConicSolution
 
     sol = ConicSolution(
