@@ -63,6 +63,15 @@ def run_solve(args) -> int:
     if args.cuts and args.relaxation != "new":
         raise InstanceFormatError("--cuts requires --relaxation new")
     cfg = SolverConfig(tol=args.tol)
+    # built first, so that a bad loop setting is refused before any bound runs
+    loop_cfg = None
+    if args.cuts:
+        loop_cfg = LoopConfig(
+            max_rounds=args.max_rounds,
+            cuts_per_round=args.cuts_per_round,
+            eps=args.eps,
+            solver=cfg,
+        )
 
     # the upper bound goes first, so that brute force rejects a large
     # instance before the lower bound is paid for; tabu is seeded on its own
@@ -72,13 +81,7 @@ def run_solve(args) -> int:
     elif args.ub == "brute":
         upper = brute_force(inst)
 
-    if args.cuts:
-        loop_cfg = LoopConfig(
-            max_rounds=args.max_rounds,
-            cuts_per_round=args.cuts_per_round,
-            eps=args.eps,
-            solver=cfg,
-        )
+    if loop_cfg is not None:
         report = cutting_plane_loop(inst, loop_cfg)
         ok = all(
             r.solver_status == SolverStatus.OPTIMAL.value for r in report.rounds

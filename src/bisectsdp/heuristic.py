@@ -8,6 +8,18 @@ D[a] + D[b] + 2 w(a,b). After the swap every other vertex v gains
 the two moved vertices end at -(D + 2 w(a,b)). Recently moved vertices are
 tabu for a fixed tenure unless the move improves the best cut seen
 (aspiration).
+
+A restart also ends as soon as its search state repeats exactly. The state
+is the part-1 indicator, the gains D, the cut and each vertex's remaining
+tenure. The next move depends only on that state and on the run's and the
+global best cut, and both bests are constant between improvements. So a
+repeated state repeats its moves forever and never improves again, and
+running on to the patience or move-budget exit would return the same best
+cut and assignment. Repeats are found by Brent's method: one checkpoint,
+dropped on every improvement and retaken at distances 1, 2, 4, ...
+non-improving moves from the last one (Brent, BIT 20, 1980). On the named
+graphs of the paper's table and on biggs-smith a restart then makes about
+90 to 280 moves instead of the 300 n its patience allows.
 """
 
 from __future__ import annotations
@@ -93,6 +105,10 @@ def _tabu_run(W, side, iters, tenure, patience, global_best):
     best_side = side.copy()
     best_cut = cut
     last_improve = 0
+    # Brent checkpoint: its cut and (side, D, remaining tenures), taken
+    # ``lam`` moves ago; ``power`` is the distance at which it is retaken
+    seen_cut, seen = None, ()
+    power = lam = 1
 
     for it in range(1, iters + 1):
         idx1 = np.flatnonzero(side)
@@ -114,8 +130,19 @@ def _tabu_run(W, side, iters, tenure, patience, global_best):
             best_cut = cut
             best_side = side.copy()
             last_improve = it
-        elif it - last_improve > patience:
+            seen_cut, power, lam = None, 1, 1
+            continue
+        if it - last_improve > patience:
             break
+        # the state that fixes every later move (module docstring); the cut
+        # is compared first, so a run whose float gains drift pays little
+        state = (side, D, np.maximum(tabu_until - it, 0))
+        if cut == seen_cut and all(map(np.array_equal, state, seen)):
+            break
+        if lam == power:
+            seen_cut, seen = cut, tuple(x.copy() for x in state)
+            power, lam = 2 * power, 0
+        lam += 1
     return best_side, best_cut
 
 

@@ -130,6 +130,21 @@ def test_brute_upper_bound_refused_before_lower_bound(capsys, monkeypatch):
         assert "n <= 24" in err
 
 
+def test_bad_loop_setting_refused_before_upper_bound(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tabu ran before the loop settings were refused")
+
+    monkeypatch.setattr("bisectsdp.cli.tabu_search", unreachable)
+    code, _, err = run(
+        capsys,
+        "solve", "--generate", "johnson:7,2", "--m", "11,10", "--cuts", "--eps", "nan",
+        "--ub", "tabu",
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert "eps" in err
+
+
 def test_instance_file_flow(tmp_path, capsys):
     path = tmp_path / "tiny.txt"
     path.write_text("4 3 3 1\n1 2\n1 3\n1 4\n")

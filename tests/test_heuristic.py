@@ -121,8 +121,121 @@ def test_tabu_upper_bounds_brute_force_and_usually_matches():
 
 
 def test_tabu_reaches_published_upper_bounds():
-    targets = [("pappus", 10, 8, 8), ("desargues", 15, 5, 7), ("johnson:7,2", 11, 10, 40)]
+    targets = [
+        ("pappus", 10, 8, 8),
+        ("desargues", 15, 5, 7),
+        ("johnson:7,2", 11, 10, 40),
+        ("biggs-smith", 70, 32, 20),
+    ]
     for spec, m1, m2, ub in targets:
         inst = BisectionInstance(generate(spec), m1, m2, name=spec)
         _, c = tabu_search(inst, TabuConfig(seed=0))
         assert c <= ub
+
+
+def _reference_tabu_run(W, side, iters, tenure, patience, global_best):
+    """The restart loop without the cycle exit: it ends only when its
+    patience or its move budget runs out."""
+    n = len(side)
+    side = side.copy()
+    z = side.astype(float)
+    cut = float(z @ (np.diag(W.sum(axis=1)) - W) @ z)
+    D = _gains(W, side)
+    tabu_until = np.zeros(n, dtype=int)
+    best_side = side.copy()
+    best_cut = cut
+    last_improve = 0
+    for it in range(1, iters + 1):
+        idx1 = np.flatnonzero(side)
+        idx2 = np.flatnonzero(~side)
+        deltas = D[idx1][:, None] + D[idx2][None, :] + 2.0 * W[np.ix_(idx1, idx2)]
+        free = (tabu_until[idx1] < it)[:, None] & (tabu_until[idx2] < it)[None, :]
+        aspiring = cut + deltas < min(best_cut, global_best) - 1e-12
+        allowed = free | aspiring
+        if not allowed.any():
+            allowed = np.ones_like(free)
+        masked = np.where(allowed, deltas, np.inf)
+        flat = int(np.argmin(masked))
+        a = int(idx1[flat // len(idx2)])
+        b = int(idx2[flat % len(idx2)])
+        cut += _swap(W, side, D, a, b)
+        tabu_until[a] = it + tenure
+        tabu_until[b] = it + tenure
+        if cut < best_cut - 1e-12:
+            best_cut = cut
+            best_side = side.copy()
+            last_improve = it
+        elif it - last_improve > patience:
+            break
+    return best_side, best_cut
+
+
+def _graph(n, p, seed, fractional):
+    g = gen_gnp(n, p, seed)
+    if not fractional:
+        return g
+    w = np.random.default_rng(seed).uniform(0.05, 2.0, size=len(g.edges)).round(3)
+    return Graph.from_edges(n, [(i, j, float(x)) for (i, j, _), x in zip(g.edges, w)])
+
+
+def _exactness_battery():
+    """30 seeded G(n,p) instances, n = 5..16 and m2 = 1..n/2 (m2 = 1 reaches
+    the all-tabu fallback), every other one with 3-decimal weights, then two
+    cases that stop early when the compared state leaves out the remaining
+    tenures (cut 4 instead of 3) or the gains D (the same set, with a cut
+    1e-12 higher)."""
+    rng = np.random.default_rng(1980)
+    for k in range(30):
+        n = int(rng.integers(5, 17))
+        g = _graph(n, float(rng.choice([0.3, 0.5, 0.8])), int(rng.integers(10**6)), k % 2 == 1)
+        m2 = 1 + k % (n // 2)
+        yield BisectionInstance(g, n - m2, m2), TabuConfig(seed=k, restarts=3, max_iters=60 * n)
+    yield BisectionInstance(_graph(20, 0.2, 942263, False), 17, 3), TabuConfig(60 * 20, 3, seed=5)
+    yield BisectionInstance(_graph(15, 0.5, 60, True), 9, 6), TabuConfig(300 * 15, 3, seed=60)
+
+
+def test_cycle_exit_returns_what_the_full_run_returns(monkeypatch):
+    """A restart that ends on a repeated state returns the same cut and
+    part-1 set as one that runs until its patience is spent.
+
+    Each field of the compared state is needed. ``side`` fixes the candidate
+    moves. The remaining tenures fix which of them are free: the same side,
+    gains and cut can recur with other tenures and still lead on to a better
+    cut. Under fractional weights the gains D drift from the exact gains of
+    ``side``, so the same side and cut can recur with other deltas. On
+    integer weights D and the cut are exact functions of ``side``.
+    """
+    cases = list(_exactness_battery())
+    got = [tabu_search(inst, cfg) for inst, cfg in cases]
+    monkeypatch.setattr("bisectsdp.heuristic._tabu_run", _reference_tabu_run)
+    for k, ((inst, cfg), (a, c)) in enumerate(zip(cases, got)):
+        ref_a, ref_c = tabu_search(inst, cfg)
+        assert (c, a.part1_set()) == (ref_c, ref_a.part1_set()), k
+
+
+def test_tabu_default_results_are_pinned():
+    """The default search returns these part-1 sets at seeds 1-3, as it did
+    when every restart ran out its patience."""
+    pinned = {
+        ("pappus", 10, 8): [
+            [0, 1, 4, 5, 6, 11, 12, 15, 16, 17],
+            [3, 4, 5, 6, 7, 9, 10, 11, 15, 16],
+            [0, 1, 2, 8, 9, 11, 12, 13, 16, 17],
+        ],
+        ("desargues", 15, 5): [
+            [2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 17, 18],
+            [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13, 16, 17, 19],
+            [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13, 14, 18, 19],
+        ],
+        ("johnson:7,2", 11, 10): [
+            [3, 5, 8, 10, 12, 14, 15, 17, 18, 19, 20],
+            [0, 1, 2, 3, 4, 5, 8, 12, 15, 18, 19],
+            [4, 5, 9, 10, 13, 14, 16, 17, 18, 19, 20],
+        ],
+    }
+    for (spec, m1, m2), sets in pinned.items():
+        inst = BisectionInstance(generate(spec), m1, m2, name=spec)
+        for seed, part1 in enumerate(sets, start=1):
+            a, c = tabu_search(inst, TabuConfig(seed=seed))
+            assert sorted(a.part1_set()) == part1, (spec, seed)
+            assert cut_value(inst.graph, a) == c
