@@ -23,6 +23,11 @@ primal residual, its relative dual residual and its relative gap are all
 within tolerance. On a face a row's norm is that of its reduced row, which
 is at most its norm on the whole block.
 
+The iteration holds its iterate as one tuple (X, u, y, Z, q, tau, kappa):
+the primal block and slacks, the equality multipliers, the dual block, the
+inequality multipliers and the two scalars of the embedding below. Each
+search direction is a tuple in the same order.
+
 Degenerate models still need care: the order-n relaxation loses its
 interior when the smaller part has size 1 (the pair inequalities are
 forced tight on average). The homogeneous self-dual embedding keeps such
@@ -250,7 +255,7 @@ class _Data:
         """
         W = self.lift(W)
         n, m = self.N, self.m
-        if self._Tbuf is None or self._Tbuf.shape != (m, n * n):
+        if self._Tbuf is None:
             self._Tbuf = np.empty((m, n * n))
         T = self._Tbuf
         r, c, u, ptr = self.r, self.c, self.u, self._ptr
@@ -272,9 +277,8 @@ class _Data:
                 )
         S = self.A @ T.T
         S = 0.5 * (S + S.T)
-        if self.mi:
-            mi_slice = np.arange(self.me, m)
-            S[mi_slice, mi_slice] += d_lp
+        i = np.arange(self.me, m)
+        S[i, i] += d_lp
         return S
 
 
@@ -347,7 +351,8 @@ def _presolve(rhs, label, norm, full_norm, eq_gram) -> np.ndarray:
 
 
 def _factor_schur(S: np.ndarray):
-    scale = max(float(np.mean(np.diag(S))), 1e-30)
+    # a problem with no rows has an empty S, which needs no scale
+    scale = max(float(np.mean(np.diag(S))), 1e-30) if len(S) else 1.0
     jitter = 0.0
     while True:
         try:
@@ -384,11 +389,12 @@ def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
 def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
     """Predictor-corrector iteration on the homogeneous self-dual embedding.
 
-    The embedding carries (X, u; y, q; Z; tau, kappa) with the original
-    optimum recovered at (X/tau, y/tau, ...). It keeps the dual bounded in
-    embedding coordinates even when the dual supremum of a degenerate model
-    is approached only in the limit, which is what makes the no-interior
-    relaxations solvable to near machine accuracy.
+    The iterate is one tuple v = (X, u, y, Z, q, tau, kappa), and every
+    direction is a tuple in the same order; the original optimum is
+    recovered at (X/tau, y/tau, q/tau). The embedding keeps the dual bounded
+    in embedding coordinates even when the dual supremum of a degenerate
+    model is approached only in the limit, which is what makes the
+    no-interior relaxations solvable to near machine accuracy.
     """
     n, me, mi = data.n, data.me, data.mi
     bh = data.rhs
@@ -397,27 +403,26 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
     Cm = data.C / cnorm
     norm_C = np.linalg.norm(Cm)
 
-    X = np.eye(n)
-    Z = np.eye(n)
-    y = np.zeros(me)
-    q = np.ones(mi)
-    u = np.ones(mi)
-    tau = 1.0
-    kappa = 1.0
+    def mu_of(w):
+        X, u, _, Z, q, tau, kappa = w
+        return (float(np.tensordot(X, Z)) + float(u @ q) + tau * kappa) / (n + mi + 1)
 
-    best = None
+    def toward(d, alpha):
+        return tuple(a + alpha * b for a, b in zip(v, d))
+
+    v = (np.eye(n), np.ones(mi), np.zeros(me), np.eye(n), np.ones(mi), 1.0, 1.0)
+    # a first iterate with a non-finite score ends the solve with the start
+    best = (v[0], v[2], v[4], np.nan, np.nan, (np.inf, np.inf, np.inf))
     best_score = np.inf
     status = SolverStatus.MAX_ITERS
     message = ""
     it = 0
 
     for it in range(1, cfg.max_iters + 1):
+        X, u, y, Z, q, tau, kappa = v
         yfull = np.concatenate([y, -q])
         AX = data.apply(X)
-        AXu = AX.copy()
-        if mi:
-            AXu[me:] += u
-        rP = bh * tau - AXu
+        rP = bh * tau - np.concatenate([AX[:me], AX[me:] + u])
         rD = Cm * tau - data.adjoint(yfull) - Z
         rG = kappa + float(np.tensordot(Cm, X)) - float(bh @ yfull)
 
@@ -426,11 +431,8 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
         pobj = cnorm * float(np.tensordot(Cm, Xs)) + data.c0
         dobj = cnorm * float(data.b @ y - data.h @ q) / tau + data.c0
         AXs = AX / tau
-        viol = np.maximum(AXs[me:] - data.h, 0.0) if mi else np.empty(0)
-        pinf = max(
-            np.abs(AXs[:me] - data.b).max() if me else 0.0,
-            viol.max() if mi else 0.0,
-        )
+        pinf = max(np.abs(AXs[:me] - data.b).max(initial=0.0),
+                   np.maximum(AXs[me:] - data.h, 0.0).max(initial=0.0))
         dinf = np.linalg.norm(rD / tau) / (1.0 + norm_C)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         # selection prefers late, fully polished iterates; the sum keeps a
@@ -439,7 +441,7 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
         optimal = pinf <= cfg.tol and dinf <= cfg.tol and gap <= cfg.tol
         if optimal or score < best_score:
             best_score = score
-            best = (Xs.copy(), y / tau, q / tau, pobj, dobj, (pinf, dinf, gap))
+            best = (Xs, y / tau, q / tau, pobj, dobj, (pinf, dinf, gap))
         if optimal:
             status = SolverStatus.OPTIMAL
             break
@@ -452,9 +454,7 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
             message = "infeasibility certificate (tau collapsed)"
             break
 
-        mu = (
-            float(np.tensordot(X, Z)) + float(u @ q) + tau * kappa
-        ) / (n + mi + 1)
+        mu = mu_of(v)
 
         try:
             Lx = np.linalg.cholesky(X)
@@ -483,62 +483,44 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
         chat = data.apply(WCW)
         gamma = float(np.tensordot(Cm, WCW))
         Qhat = schur_solve(bh + chat)
-        denom_tau_base = float((bh - chat) @ Qhat) + gamma
+        denom_tau = float((bh - chat) @ Qhat) + gamma + kappa / tau
 
         def raw_direction(rp_loc, rD_loc, rG_loc, Rxz, r_uq, rc_tau):
+            """(dX, du, dyw, dZ, dtau, dkappa), with dyw = (dy, -dq) stacked."""
             # rD_loc None means exact zero (refinement passes): skip products
             body = Rxz if rD_loc is None else Rxz - WrDW
-            amr = data.apply(body)
-            r0 = rp_loc - amr
-            if mi:
-                r0[me:] -= r_uq
+            r0 = rp_loc - data.apply(body)
+            r0[me:] -= r_uq
             phat = schur_solve(r0)
-            num = (
-                rG_loc
-                + float(np.tensordot(Cm, body))
-                + rc_tau / tau
-                - float((bh - chat) @ phat)
-            )
-            dtau = num / (denom_tau_base + kappa / tau)
+            num = rG_loc + float(np.tensordot(Cm, body)) + rc_tau / tau - float((bh - chat) @ phat)
+            dtau = num / denom_tau
             dyw = phat + Qhat * dtau
             dZ = Cm * dtau - data.adjoint(dyw)
             if rD_loc is not None:
                 dZ += rD_loc
             dX = Rxz - W @ dZ @ W
-            dq = -dyw[me:]
-            du = r_uq - d_lp * dq
-            dkappa = (rc_tau - kappa * dtau) / tau
-            return [dX, du, dyw[:me], dZ, dq, dtau, dkappa, dyw]
+            du = r_uq + d_lp * dyw[me:]
+            return dX, du, dyw, dZ, dtau, (rc_tau - kappa * dtau) / tau
 
         def direction(Rxz, r_uq, rc_tau, linear: bool = True):
-            rp_loc = rP if linear else np.zeros(data.m)
-            rD_loc = rD if linear else None
-            rG_loc = rG if linear else 0.0
+            rp_loc, rD_loc, rG_loc = (rP, rD, rG) if linear else (np.zeros(data.m), None, 0.0)
             d = raw_direction(rp_loc, rD_loc, rG_loc, Rxz, r_uq, rc_tau)
             # refine against the full Newton system: the Schur assembly
             # itself loses digits through the W products near a degenerate
             # face, which only a KKT-level residual can see
             for _ in range(2):
-                dX, du, dy_, dZ, dq, dtau, dkap, dyw = d
+                dX, du, dyw, _, dtau, dkap = d
                 adx = data.apply(dX)
-                if mi:
-                    adx[me:] += du
+                adx[me:] += du
                 resP = rp_loc - (adx - bh * dtau)
-                resG = rG_loc - (
-                    float(bh @ dyw) - float(np.tensordot(Cm, dX)) - dkap
-                )
-                if max(np.abs(resP).max() if data.m else 0.0, abs(resG)) < 1e-13 * (
-                    1.0 + np.abs(rp_loc).max() if data.m else 1.0
-                ):
+                resG = rG_loc - (float(bh @ dyw) - float(np.tensordot(Cm, dX)) - dkap)
+                limit = 1e-13 * (1.0 + np.abs(rp_loc).max(initial=0.0))
+                if max(np.abs(resP).max(initial=0.0), abs(resG)) < limit:
                     break
-                dd = raw_direction(
-                    resP, None, resG, np.zeros((n, n)), np.zeros(mi), 0.0
-                )
+                dd = raw_direction(resP, None, resG, np.zeros((n, n)), np.zeros(mi), 0.0)
                 d = [a + b for a, b in zip(d, dd)]
-            dX, du, dy_, dZ, dq, dtau, dkap, _ = d
-            dX = 0.5 * (dX + dX.T)
-            dZ = 0.5 * (dZ + dZ.T)
-            return dX, du, dy_, dZ, dq, dtau, dkap
+            dX, du, dyw, dZ, dtau, dkap = d
+            return 0.5 * (dX + dX.T), du, dyw[:me], 0.5 * (dZ + dZ.T), -dyw[me:], dtau, dkap
 
         def step(d, frac):
             """Longest step, capped at 1, that takes frac of the way to the
@@ -554,36 +536,33 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
             return min(1.0, *(frac * a for a in terms))
 
         # predictor
-        aff = direction(-X, -u if mi else np.empty(0), -tau * kappa)
-        dX_a, du_a, _, dZ_a, dq_a, dtau_a, dkap_a = aff
-        if not np.all(np.isfinite(dX_a)) or not np.isfinite(dtau_a):
+        aff = direction(-X, -u, -tau * kappa)
+        _, du_a, _, _, dq_a, dtau_a, dkap_a = aff
+        if not np.all(np.isfinite(aff[0])) or not np.isfinite(dtau_a):
             status = SolverStatus.NUMERICAL_TROUBLE
             message = "non-finite search direction"
             break
         a_aff = step(aff, 1.0)
-        mu_aff = (
-            float(np.tensordot(X + a_aff * dX_a, Z + a_aff * dZ_a))
-            + float((u + a_aff * du_a) @ (q + a_aff * dq_a))
-            + (tau + a_aff * dtau_a) * (kappa + a_aff * dkap_a)
-        ) / (n + mi + 1)
+        mu_aff = mu_of(toward(aff, a_aff))
         sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
-        Ginv = sla.solve_triangular(
-            Lx.T, Vtv.T * np.sqrt(sv), lower=False, check_finite=False
-        ).T
+        Ginv = sla.solve_triangular(Lx.T, Vtv.T * np.sqrt(sv), lower=False, check_finite=False).T
         denom = 0.5 * (sv[:, None] + sv[None, :])
+
+        def scaled(d):
+            """The NT-scaled matrix steps Ginv dX Ginv' and G' dZ G."""
+            return Ginv @ d[0] @ Ginv.T, G.T @ d[3] @ G
 
         def centred(s, corr, uq_corr, tk_corr):
             """Direction toward s*mu on the central path, less the given
             second-order corrections of the matrix, slack and tau-kappa
             products."""
             Hs = (s * mu * np.eye(n) - np.diag(sv**2) - corr) / denom
-            r_uq = (s * mu - u * q - uq_corr) / q if mi else np.empty(0)
+            r_uq = (s * mu - u * q - uq_corr) / q
             return direction(G @ Hs @ G.T, r_uq, s * mu - tau * kappa - tk_corr)
 
         # corrector
-        Dx_a = Ginv @ dX_a @ Ginv.T
-        Dz_a = G.T @ dZ_a @ G
+        Dx_a, Dz_a = scaled(aff)
         corr = 0.5 * (Dx_a @ Dz_a + Dz_a @ Dx_a)
         d = centred(sigma, corr, du_a * dq_a, dtau_a * dkap_a)
         alpha = step(d, _STEP_FRACTION)
@@ -602,25 +581,21 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
             if alpha >= 0.6:
                 break
             a_try = min(1.0, alpha + 0.3)
-            dX, du, _, dZ, dq, dtau, dkap = d
-            Dx_t = Ginv @ dX @ Ginv.T
-            Dz_t = G.T @ dZ @ G
+            Dx_t, Dz_t = scaled(d)
             Sig = np.diag(sv)
             P = (Sig + a_try * Dx_t) @ (Sig + a_try * Dz_t)
             P = 0.5 * (P + P.T)
-            p_lp = (u + a_try * du) * (q + a_try * dq) if mi else np.empty(0)
-            p_tk = (tau + a_try * dtau) * (kappa + a_try * dkap)
+            _, u_t, _, _, q_t, tau_t, kappa_t = toward(d, a_try)
+            p_lp, p_tk = u_t * q_t, tau_t * kappa_t
             mu_t = (float(np.trace(P)) + float(p_lp.sum()) + p_tk) / (n + mi + 1)
             lo, hi = 0.1 * mu_t, 10.0 * mu_t
             lam_p, Qp = sla.eigh(P, check_finite=False)
             lam_c = np.clip(lam_p, lo, hi)
-            if np.allclose(lam_c, lam_p) and (
-                not mi or np.all((p_lp >= lo) & (p_lp <= hi))
-            ) and lo <= p_tk <= hi:
+            if np.allclose(lam_c, lam_p) and np.all((p_lp >= lo) & (p_lp <= hi)) and lo <= p_tk <= hi:
                 break
             dP = Qp @ np.diag(lam_c - lam_p) @ Qp.T
             Rxz_add = G @ (dP / denom) @ G.T
-            r_uq_add = (np.clip(p_lp, lo, hi) - p_lp) / q if mi else np.empty(0)
+            r_uq_add = (np.clip(p_lp, lo, hi) - p_lp) / q
             rc_add = np.clip(p_tk, lo, hi) - p_tk
             add = direction(Rxz_add, r_uq_add, rc_add, linear=False)
             cand = tuple(a + b for a, b in zip(d, add))
@@ -634,14 +609,9 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
             message = "step length collapsed"
             break
 
-        X, u, y, Z, q, tau, kappa = (
-            v + alpha * dv for v, dv in zip((X, u, y, Z, q, tau, kappa), d)
-        )
-        X = 0.5 * (X + X.T)
-        Z = 0.5 * (Z + Z.T)
+        X, u, y, Z, q, tau, kappa = toward(d, alpha)
+        v = (0.5 * (X + X.T), u, y, 0.5 * (Z + Z.T), q, tau, kappa)
 
-    if best is None:
-        best = (X, y, q, np.nan, np.nan, (np.inf, np.inf, np.inf))
     Xb, yb, qb, pobj, dobj, res = best
     return ConicSolution(
         status=status,

@@ -12,7 +12,7 @@ from bisectsdp import (
     tabu_search,
 )
 from bisectsdp.graphs import adjacency
-from bisectsdp.heuristic import _gains, _swap
+from bisectsdp.heuristic import _gains, _swap, _tabu_run
 from conftest import enumerate_min_cut
 
 
@@ -204,13 +204,31 @@ def test_cycle_exit_returns_what_the_full_run_returns(monkeypatch):
     cut. Under fractional weights the gains D drift from the exact gains of
     ``side``, so the same side and cut can recur with other deltas. On
     integer weights D and the cut are exact functions of ``side``.
+
+    Each restart's summed cut is compared too: ``tabu_search`` reports the
+    cut of its set, which hides a summed cut that differs by rounding.
     """
+    restarts = {"exit": [], "full": []}
+
+    def recording(run, log):
+        def wrapped(*args):
+            side, cut = run(*args)
+            log.append((cut, side.tolist()))
+            return side, cut
+
+        return wrapped
+
     cases = list(_exactness_battery())
+    monkeypatch.setattr("bisectsdp.heuristic._tabu_run", recording(_tabu_run, restarts["exit"]))
     got = [tabu_search(inst, cfg) for inst, cfg in cases]
-    monkeypatch.setattr("bisectsdp.heuristic._tabu_run", _reference_tabu_run)
+    monkeypatch.setattr(
+        "bisectsdp.heuristic._tabu_run", recording(_reference_tabu_run, restarts["full"])
+    )
     for k, ((inst, cfg), (a, c)) in enumerate(zip(cases, got)):
         ref_a, ref_c = tabu_search(inst, cfg)
         assert (c, a.part1_set()) == (ref_c, ref_a.part1_set()), k
+        assert c == cut_value(inst.graph, a), k
+    assert restarts["exit"] == restarts["full"]
 
 
 def test_tabu_default_results_are_pinned():

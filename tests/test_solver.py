@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from bisectsdp import (
     solve,
     strictly_feasible_point,
 )
+from bisectsdp.model import problem_from_text
 from conftest import enumerate_min_cut
 
 
@@ -170,6 +173,37 @@ def test_block_order_cap():
     p = ConicProblem(block_order=301, obj_matrix=np.zeros((301, 301)))
     with pytest.raises(UnsupportedProblem):
         solve(p, SolverConfig())
+
+
+_DIAG_AT_MOST_ONE = "".join(f"d{i} | {i},{i},1 | 1 | <=\n" for i in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "text, status, value",
+    [
+        ("* block_order 2\nobjective | 1,1,1 2,2,1 | 0 | min\n", SolverStatus.OPTIMAL, 0.0),
+        (
+            "* block_order 3\nobjective | 1,1,-1 2,2,-1 3,3,-1 | 0 | min\n" + _DIAG_AT_MOST_ONE,
+            SolverStatus.OPTIMAL,
+            -3.0,
+        ),
+        ("* block_order 2\nobjective | 1,1,-1 | 0 | min\n", SolverStatus.NUMERICAL_TROUBLE, None),
+    ],
+    ids=["no-rows", "no-equalities", "no-rows-unbounded"],
+)
+def test_solves_without_rows_or_equalities(text, status, value):
+    """A problem with no rows, or with inequalities only, solves without a
+    RuntimeWarning; an unbounded one ends on the embedding's certificate."""
+    p = problem_from_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve(p)
+    assert sol.status is status
+    assert sol.dual_eq.shape == (0,)
+    if value is None:
+        assert "tau collapsed" in sol.message
+    else:
+        assert sol.objective_primal == pytest.approx(value, abs=1e-6)
 
 
 @pytest.mark.parametrize(
