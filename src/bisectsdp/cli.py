@@ -74,7 +74,8 @@ def run_solve(args) -> int:
         )
 
     # the upper bound goes first, so that brute force rejects a large
-    # instance before the lower bound is paid for; tabu is seeded on its own
+    # instance before the lower bound is paid for, and so that the cut loop
+    # can stop once its bound meets it; tabu is seeded on its own
     upper = None
     if args.ub == "tabu":
         upper = tabu_search(inst, TabuConfig(seed=args.seed))
@@ -82,7 +83,9 @@ def run_solve(args) -> int:
         upper = brute_force(inst)
 
     if loop_cfg is not None:
-        report = cutting_plane_loop(inst, loop_cfg)
+        report = cutting_plane_loop(
+            inst, loop_cfg, upper_bound=None if upper is None else upper[1]
+        )
         ok = all(
             r.solver_status == SolverStatus.OPTIMAL.value for r in report.rounds
         )

@@ -180,16 +180,26 @@ class LoopConfig:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
 
 
-def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -> BoundReport:
+def cutting_plane_loop(
+    inst: BisectionInstance,
+    cfg: LoopConfig | None = None,
+    *,
+    upper_bound: float | None = None,
+) -> BoundReport:
     """Strengthen the order-n relaxation with separated triangle cuts.
 
     Round 0 solves the relaxation with its elementwise families; each later
     round separates on the current primal matrix, appends those of the
     ``cuts_per_round`` most violated cuts that are not rows yet, and
-    re-solves from scratch. Stops when a round appends no row, the round
-    budget is exhausted, the certified bound stalls for two consecutive
-    rounds, or a round's solve is not usable (see ``ConicSolution.usable``).
-    Each round records the rows appended before it and since round 0. The
+    re-solves. Every solve sifts (see ``solve``): round 0 starts from no
+    inequality rows, and each later round from the rows with a positive
+    multiplier in the round before plus the rows just appended. Stops when
+    a round appends no row, the round budget is exhausted, the certified
+    bound stalls for two consecutive rounds, or a round's solve is not
+    usable (see ``ConicSolution.usable``). With integral weights and a
+    known ``upper_bound`` (the value of some bisection), it also stops once
+    the ceiled bound reaches that value, which proves it optimal. Each
+    round records the rows appended before it and since round 0. The
     certified bound is the max of the per-round safe bounds, so it is valid
     even if the last solve was poor.
     """
@@ -217,12 +227,13 @@ def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -
     certified = -np.inf
     stalled_rounds = 0
     added = total = 0
-    active_hint = None
+    active_hint = np.empty(0, dtype=int)
 
     for rnd in range(cfg.max_rounds + 1):
         t0 = time.perf_counter()
         sol = solve(p, cfg.solver, ineq_hint=active_hint)
-        # rows with nonzero multipliers seed the next round's working set
+        # rows with nonzero multipliers, plus the cuts appended below, seed
+        # the next round's working set
         active_hint = np.flatnonzero(sol.dual_ineq > 1e-12)
         sb = safe_lower_bound(p, sol)
         report.rounds.append(
@@ -238,7 +249,9 @@ def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -
         )
         improvement = sb.value - certified
         certified = max(certified, sb.value)
-        if not sol.usable() or rnd == cfg.max_rounds:
+        ceiling = ceil_bound(certified, inst.graph.integral_weights)
+        proven = upper_bound is not None and ceiling is not None and ceiling >= upper_bound
+        if not sol.usable() or rnd == cfg.max_rounds or proven:
             break
         if rnd > 0 and improvement < cfg.stall_tol * (1.0 + abs(certified)):
             stalled_rounds += 1
@@ -250,9 +263,10 @@ def cutting_plane_loop(inst: BisectionInstance, cfg: LoopConfig | None = None) -
         if not added:
             break
         total += added
+        active_hint = np.concatenate([active_hint, np.arange(p.num_ineq - added, p.num_ineq)])
 
     report.certified_lower_bound = float(certified)
-    report.ceiled_lower_bound = ceil_bound(certified, inst.graph.integral_weights)
+    report.ceiled_lower_bound = ceiling
     report.values["new"] = report.rounds[0].safe_bound
     report.values["new_cuts"] = float(certified)
     report.total_wall_time = time.perf_counter() - t_start

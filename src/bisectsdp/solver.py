@@ -43,10 +43,12 @@ trusts the solver's state.
 
 Every solve is one sifting loop: it repeatedly solves with a working
 subset of inequalities and activates any whose violation over its norm on
-the whole block exceeds half the tolerance. A list of at most 700
-inequalities is the first working set whole, so the first pass finds
-nothing to activate and is the solve. A longer list (elementwise
-nonnegativity families grow as O(n^2)) starts from a hint or from no rows,
+the whole block exceeds half the tolerance. A caller's hint, even an empty
+one, is the first working set; the cut loop passes one on every round, so
+its solves carry only the rows that bind. Without a hint, a list of at
+most 700 inequalities is the first working set whole, so the first pass
+finds nothing to activate and is the solve, and a longer list
+(elementwise nonnegativity families grow as O(n^2)) starts from no rows,
 which keeps the Schur complement small. Multipliers of never-activated
 rows are zero, so the returned solution satisfies the full problem's
 optimality contract.
@@ -83,7 +85,7 @@ _DENSE_NNZ_FACTOR = 4
 _BLOCK_ORDER_CAP = 300
 # fraction of the distance to the cone boundary taken by each step
 _STEP_FRACTION = 0.98
-# above this many inequalities the solver sifts a working set
+# without a hint, above this many inequalities the solver sifts a working set
 _SIFT_THRESHOLD = 700
 _SIFT_MAX_PASSES = 60
 # a stopped solve whose residuals exceed this is too far from optimality for
@@ -633,11 +635,13 @@ def solve(
 ) -> ConicSolution:
     """Solve a conic problem on a sifted working set of its inequalities.
 
-    A list of at most 700 inequalities is the first working set whole, so
-    its first pass finds nothing to activate and is the solve. A longer
-    list starts from ``ineq_hint`` (callers that solve a sequence of
-    related problems pass the previously active rows), or from none. The
-    interior-point iterations themselves always start cold.
+    A given ``ineq_hint``, even an empty one, is the first working set
+    (callers that solve a sequence of related problems pass the rows they
+    expect to bind); an index outside ``0..num_ineq-1`` is a ValueError.
+    Without a hint, a list of at most 700 inequalities is the first working
+    set whole, so its first pass finds nothing to activate and is the
+    solve, and a longer list starts from none. The interior-point
+    iterations themselves always start cold.
 
     Returns the best iterate found together with the objective values and
     the (primal infeasibility, dual infeasibility, relative gap) triple.
@@ -652,13 +656,15 @@ def solve(
     # norm exceeds half the tolerance that the working rows meet;
     # the most violated rows join first
     norm = _row_norms(p.operator()[p.num_eq :])
-    if mi <= _SIFT_THRESHOLD:
-        working = np.arange(mi)
-    elif ineq_hint is None:
-        working = np.empty(0, dtype=int)
-    else:
+    if ineq_hint is not None:
         working = np.unique(np.asarray(ineq_hint, dtype=int))
-        working = working[(working >= 0) & (working < mi)]
+        bad = working[(working < 0) | (working >= mi)]
+        if len(bad):
+            raise ValueError(f"ineq_hint holds rows outside 0..{mi - 1}: {bad.tolist()}")
+    elif mi <= _SIFT_THRESHOLD:
+        working = np.arange(mi)
+    else:
+        working = np.empty(0, dtype=int)
     batch = max(4 * p.block_order, 400)
     for _ in range(_SIFT_MAX_PASSES):
         # solve on the working set, then scatter its duals to all rows and

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bisectsdp import BisectionInstance, LoopConfig, cutting_plane_loop, generate
 from bisectsdp.cli import main
 from bisectsdp.report import BoundReport, csv_header
 
@@ -62,6 +63,19 @@ def test_solve_with_cuts_csv_matches_published_row(capsys):
     )
     assert code == 0
     assert out.strip().splitlines()[1] == "desargues,20,15,5,,5,6,7"
+
+
+def test_cut_loop_stops_once_the_upper_bound_is_proven(capsys):
+    code, out, _ = run(
+        capsys, "solve", "--generate", "johnson:7,2", "--m", "11,10", "--cuts", "--ub", "tabu",
+    )
+    assert code == 0
+    rep = BoundReport.from_json(out)
+    assert rep.upper_bound == 40 and rep.ceiled_lower_bound == 40
+    assert [t.round for t in rep.rounds] == [0, 1, 2, 3]
+    # without the upper bound the loop cannot tell that 40 is optimal
+    inst = BisectionInstance(generate("johnson:7,2"), 11, 10)
+    assert len(cutting_plane_loop(inst, LoopConfig()).rounds) == 5
 
 
 def test_report_json_round_trip(capsys):

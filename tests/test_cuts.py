@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import bisectsdp.cuts
+import bisectsdp.solver
 from bisectsdp import (
     BisectionInstance,
     Cut,
@@ -228,6 +230,31 @@ def test_loop_respects_round_and_cut_budgets():
     rep = cutting_plane_loop(inst, cfg)
     assert len(rep.rounds) <= 3
     assert all(t.cuts_added <= 7 for t in rep.rounds)
+
+
+def test_each_round_starts_from_the_rows_appended_before_it(monkeypatch):
+    inst = BisectionInstance(gen_gnp(19, 0.5, 2), 10, 9)
+    solve, ipm = bisectsdp.cuts.solve, bisectsdp.solver._ipm
+    passes = []  # per solve: the problem's inequality count, each pass's working set
+
+    def recording_solve(p, *args, **kwargs):
+        passes.append((p.num_ineq, []))
+        return solve(p, *args, **kwargs)
+
+    def recording_ipm(data, cfg):
+        passes[-1][1].append(data.ineq_idx.copy())
+        return ipm(data, cfg)
+
+    monkeypatch.setattr(bisectsdp.cuts, "solve", recording_solve)
+    monkeypatch.setattr(bisectsdp.solver, "_ipm", recording_ipm)
+    rep = cutting_plane_loop(inst, LoopConfig(max_rounds=2))
+    base = passes[0][0]
+    assert base > 700
+    assert len(passes) == len(rep.rounds) == 3
+    assert len(passes[0][1][0]) == 0
+    for (rows, sets), trace in zip(passes[1:], rep.rounds[1:]):
+        assert rows == base + trace.cuts_total
+        assert np.isin(np.arange(base, rows), sets[0]).all()
 
 
 def test_loop_desargues_reproduces_published_row():

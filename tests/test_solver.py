@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import bisectsdp.solver
 from bisectsdp import (
     BisectionInstance,
     ConicProblem,
@@ -257,6 +258,35 @@ def test_sifting_handles_large_inequality_sets():
     scale = 1.0 + max(abs(v) for v in p.ineq_rhs + p.eq_rhs)
     assert viol.max() <= 1e-6 * scale
     assert len(sol.dual_ineq) == p.num_ineq
+
+
+def test_empty_hint_sifts_a_model_under_the_threshold(monkeypatch):
+    p = build_new(BisectionInstance(generate("pappus"), 10, 8), with_nonneg=True)
+    assert 600 <= p.num_ineq <= 700
+    ipm, seen = bisectsdp.solver._ipm, []  # each pass's inequality working set
+
+    def recording_ipm(data, cfg):
+        seen.append(data.ineq_idx.copy())
+        return ipm(data, cfg)
+
+    monkeypatch.setattr(bisectsdp.solver, "_ipm", recording_ipm)
+    whole = solve(p)
+    assert [len(w) for w in seen] == [p.num_ineq]
+    seen.clear()
+    sifted = solve(p, ineq_hint=[])
+    assert len(seen[0]) == 0
+    assert sifted.status is SolverStatus.OPTIMAL
+    assert sifted.objective_primal == pytest.approx(whole.objective_primal, rel=1e-6)
+    assert safe_lower_bound(p, sifted).value == pytest.approx(
+        safe_lower_bound(p, whole).value, rel=1e-6
+    )
+
+
+def test_hint_outside_the_rows_is_refused(gnp8):
+    p = build_new(gnp8, with_nonneg=True)
+    for bad in (-1, p.num_ineq):
+        with pytest.raises(ValueError, match=f"ineq_hint holds rows outside .*\\[{bad}\\]"):
+            solve(p, ineq_hint=[0, bad])
 
 
 def test_wz_solves_close_to_new(gnp8):
