@@ -110,6 +110,7 @@ def run_solve(args) -> int:
                     safe_bound=sb.value,
                     solver_status=sol.status.value,
                     wall_time=time.perf_counter() - t0,
+                    iterations=sol.iterations,
                 )
             ],
             certified_lower_bound=sb.value,

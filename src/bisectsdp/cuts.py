@@ -178,6 +178,8 @@ class LoopConfig:
             raise ValueError(f"cuts_per_round must be nonnegative, got {self.cuts_per_round}")
         if not 0.0 <= self.eps < np.inf:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
+        if not 0.0 <= self.stall_tol < np.inf:
+            raise ValueError(f"stall_tol must be finite and nonnegative, got {self.stall_tol}")
 
 
 def cutting_plane_loop(
@@ -193,15 +195,17 @@ def cutting_plane_loop(
     ``cuts_per_round`` most violated cuts that are not rows yet, and
     re-solves. Every solve sifts (see ``solve``): round 0 starts from no
     inequality rows, and each later round from the rows with a positive
-    multiplier in the round before plus the rows just appended. Stops when
+    multiplier in the round before plus the rows just appended. Round 0's
+    IPM starts cold, and each later round's from the round before's
+    solution, in which the appended rows have multiplier 0. Stops when
     a round appends no row, the round budget is exhausted, the certified
     bound stalls for two consecutive rounds, or a round's solve is not
     usable (see ``ConicSolution.usable``). With integral weights and a
     known ``upper_bound`` (the value of some bisection), it also stops once
     the ceiled bound reaches that value, which proves it optimal. Each
-    round records the rows appended before it and since round 0. The
-    certified bound is the max of the per-round safe bounds, so it is valid
-    even if the last solve was poor.
+    round records the rows appended before it and since round 0, and the
+    IPM iterations of its solve. The certified bound is the max of the
+    per-round safe bounds, so it is valid even if the last solve was poor.
     """
     cfg = cfg or LoopConfig()
     n = inst.n
@@ -228,10 +232,11 @@ def cutting_plane_loop(
     stalled_rounds = 0
     added = total = 0
     active_hint = np.empty(0, dtype=int)
+    sol = None
 
     for rnd in range(cfg.max_rounds + 1):
         t0 = time.perf_counter()
-        sol = solve(p, cfg.solver, ineq_hint=active_hint)
+        sol = solve(p, cfg.solver, ineq_hint=active_hint, start=sol)
         # rows with nonzero multipliers, plus the cuts appended below, seed
         # the next round's working set
         active_hint = np.flatnonzero(sol.dual_ineq > 1e-12)
@@ -245,6 +250,7 @@ def cutting_plane_loop(
                 safe_bound=sb.value,
                 solver_status=sol.status.value,
                 wall_time=time.perf_counter() - t0,
+                iterations=sol.iterations,
             )
         )
         improvement = sb.value - certified

@@ -35,6 +35,9 @@ class RoundTrace:
     safe_bound: float
     solver_status: str
     wall_time: float
+    # IPM iterations over every sifting pass; reports written before this
+    # field existed load with 0
+    iterations: int = 0
 
 
 @dataclass

@@ -53,6 +53,18 @@ which keeps the Schur complement small. Multipliers of never-activated
 rows are zero, so the returned solution satisfies the full problem's
 optimality contract.
 
+Each pass after the first starts its iteration from the pass before it,
+when that one ended OPTIMAL; the first pass starts from a caller's
+solution of the same problem, if one is given (the cut loop passes each
+round's solution to the next), and cold otherwise. A warm start is the
+previous point moved 1% of the way back to the cold start, the warm start
+of Skajaa, Andersen and Ye for the homogeneous embedding (Math. Prog.
+Comp., 2013); a row without a multiplier in it, such as a cut appended
+since, starts with slack and multiplier 0.01 or more. A warm-started pass
+that ends short of OPTIMAL is solved again cold. A solve without a start
+whose first pass activates nothing runs exactly as before warm starts
+existed.
+
 Each working set's data is an equilibrated row slice of the problem's
 stacked operator; sifting and the safe bound apply that operator unscaled.
 """
@@ -60,7 +72,7 @@ stacked operator; sifting and the safe bound apply that operator unscaled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -88,6 +100,9 @@ _STEP_FRACTION = 0.98
 # without a hint, above this many inequalities the solver sifts a working set
 _SIFT_THRESHOLD = 700
 _SIFT_MAX_PASSES = 60
+# a warm start's weight on the previous solution; the rest goes to the cold
+# start (identity blocks, unit slacks and multipliers)
+_WARM_WEIGHT = 0.99
 # a stopped solve whose residuals exceed this is too far from optimality for
 # its bound to be worth iterating on
 _USABLE_RESIDUAL_LIMIT = 1e-4
@@ -388,7 +403,34 @@ def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
 # the interior-point iteration
 # ---------------------------------------------------------------------------
 
-def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
+def _warm_iterate(data: _Data, start: ConicSolution, Cm: np.ndarray, cnorm: float):
+    """First iterate pulled from ``start``, a solution of the same problem
+    with a multiplier for each of its rows, or None when its X or Z block is
+    not positive definite.
+
+    With lam = _WARM_WEIGHT, each part is lam times its value at ``start``
+    plus 1 - lam times the cold start's: X from V'MV on a face, Z from the
+    scaled dual slack Cm - adjoint([y; -q]), the slacks u from h - GX, and
+    tau = 1. Negative slacks and multipliers count as 0, and kappa is 1 - lam.
+    """
+    lam, me, eye = _WARM_WEIGHT, data.me, np.eye(data.n)
+    M = start.primal if data.V is None else data.V.T @ start.primal @ data.V
+    y = start.dual_eq[data.eq_idx] / (cnorm * data.row_scale[:me])
+    q = start.dual_ineq[data.ineq_idx] / (cnorm * data.row_scale[me:])
+    Zs = Cm - data.adjoint(np.concatenate([y, -q]))
+    X = lam * 0.5 * (M + M.T) + (1.0 - lam) * eye
+    Z = lam * 0.5 * (Zs + Zs.T) + (1.0 - lam) * eye
+    try:
+        np.linalg.cholesky(X)
+        np.linalg.cholesky(Z)
+    except np.linalg.LinAlgError:
+        return None
+    u = np.maximum(data.h - data.apply(M)[me:], 0.0)
+    return (X, lam * u + (1.0 - lam), lam * y, Z, lam * np.maximum(q, 0.0) + (1.0 - lam),
+            1.0, 1.0 - lam)
+
+
+def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> ConicSolution:
     """Predictor-corrector iteration on the homogeneous self-dual embedding.
 
     The iterate is one tuple v = (X, u, y, Z, q, tau, kappa), and every
@@ -397,6 +439,10 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
     in embedding coordinates even when the dual supremum of a degenerate
     model is approached only in the limit, which is what makes the
     no-interior relaxations solvable to near machine accuracy.
+
+    Without a ``start`` (see ``_warm_iterate``), or when it gives no
+    interior point, the iteration starts cold at X = Z = I, u = q = 1,
+    y = 0 and tau = kappa = 1.
     """
     n, me, mi = data.n, data.me, data.mi
     bh = data.rhs
@@ -412,7 +458,9 @@ def _ipm(data: _Data, cfg: SolverConfig) -> ConicSolution:
     def toward(d, alpha):
         return tuple(a + alpha * b for a, b in zip(v, d))
 
-    v = (np.eye(n), np.ones(mi), np.zeros(me), np.eye(n), np.ones(mi), 1.0, 1.0)
+    v = None if start is None else _warm_iterate(data, start, Cm, cnorm)
+    if v is None:
+        v = (np.eye(n), np.ones(mi), np.zeros(me), np.eye(n), np.ones(mi), 1.0, 1.0)
     # a first iterate with a non-finite score ends the solve with the start
     best = (v[0], v[2], v[4], np.nan, np.nan, (np.inf, np.inf, np.inf))
     best_score = np.inf
@@ -632,6 +680,7 @@ def solve(
     p: ConicProblem,
     cfg: SolverConfig | None = None,
     ineq_hint: np.ndarray | None = None,
+    start: ConicSolution | None = None,
 ) -> ConicSolution:
     """Solve a conic problem on a sifted working set of its inequalities.
 
@@ -640,8 +689,17 @@ def solve(
     expect to bind); an index outside ``0..num_ineq-1`` is a ValueError.
     Without a hint, a list of at most 700 inequalities is the first working
     set whole, so its first pass finds nothing to activate and is the
-    solve, and a longer list starts from none. The interior-point
-    iterations themselves always start cold.
+    solve, and a longer list starts from none.
+
+    The first pass starts from ``start``, a solution of ``p`` before rows
+    were appended to it (its ``dual_ineq`` may be shorter than ``num_ineq``;
+    the missing rows get multiplier 0), or cold without one. Each later pass
+    starts from the pass before it when that one ended OPTIMAL, and cold
+    otherwise. A warm-started pass that ends short of OPTIMAL is solved
+    again cold on the same working set. A ``start`` whose primal is not N x N, whose ``dual_eq`` does
+    not hold ``num_eq`` values or whose ``dual_ineq`` holds more than
+    ``num_ineq`` is a ValueError. ``cfg.max_iters`` bounds each pass, and
+    ``iterations`` counts those of every pass.
 
     Returns the best iterate found together with the objective values and
     the (primal infeasibility, dual infeasibility, relative gap) triple.
@@ -652,6 +710,15 @@ def solve(
             f"block order {p.block_order} exceeds cap {_BLOCK_ORDER_CAP}"
         )
     mi = p.num_ineq
+    if start is not None:
+        N, got = p.block_order, len(start.dual_ineq)
+        if np.shape(start.primal) != (N, N) or len(start.dual_eq) != p.num_eq or got > mi:
+            raise ValueError(
+                f"start has a {np.shape(start.primal)} primal, {len(start.dual_eq)} equality and "
+                f"{got} inequality multipliers; the problem needs ({N}, {N}), {p.num_eq} "
+                f"and at most {mi}"
+            )
+        start = replace(start, dual_ineq=np.concatenate([start.dual_ineq, np.zeros(mi - got)]))
     # a row outside the working set joins it when its violation over its
     # norm exceeds half the tolerance that the working rows meet;
     # the most violated rows join first
@@ -666,11 +733,19 @@ def solve(
     else:
         working = np.empty(0, dtype=int)
     batch = max(4 * p.block_order, 400)
+    iterations = 0
     for _ in range(_SIFT_MAX_PASSES):
         # solve on the working set, then scatter its duals to all rows and
         # lift its primal off the face
         data = _Data(p, working)
-        sol = _ipm(data, cfg)
+        sol = _ipm(data, cfg, start)
+        if start is not None and sol.status is not SolverStatus.OPTIMAL:
+            # a warm start next to a degenerate optimum can stall where a
+            # cold one does not (tests/test_cuts.py pins such a round)
+            iterations += sol.iterations
+            sol = _ipm(data, cfg)
+        iterations += sol.iterations
+        sol.iterations = iterations
         dual_eq, dual_ineq = np.zeros(p.num_eq), np.zeros(mi)
         dual_eq[data.eq_idx] = sol.dual_eq
         dual_ineq[data.ineq_idx] = sol.dual_ineq
@@ -682,6 +757,7 @@ def solve(
             return sol
         order = np.lexsort((cand, -viol[cand]))
         working = np.sort(np.concatenate([working, cand[order[:batch]]]))
+        start = sol if sol.status is SolverStatus.OPTIMAL else None
     sol.status = SolverStatus.MAX_ITERS
     sol.message = "inequality sifting did not settle"
     return sol

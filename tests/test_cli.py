@@ -75,7 +75,7 @@ def test_cut_loop_stops_once_the_upper_bound_is_proven(capsys):
     assert [t.round for t in rep.rounds] == [0, 1, 2, 3]
     # without the upper bound the loop cannot tell that 40 is optimal
     inst = BisectionInstance(generate("johnson:7,2"), 11, 10)
-    assert len(cutting_plane_loop(inst, LoopConfig()).rounds) == 5
+    assert len(cutting_plane_loop(inst, LoopConfig()).rounds) == 6
 
 
 def test_report_json_round_trip(capsys):
@@ -83,6 +83,15 @@ def test_report_json_round_trip(capsys):
     assert code == 0
     rep = BoundReport.from_json(out)
     assert rep.to_dict() == BoundReport.from_json(rep.to_json()).to_dict()
+
+
+def test_report_without_round_iterations_loads(capsys):
+    code, out, _ = run(capsys, "solve", "--generate", "gnp:6,0.5,7", "--m", "4,2")
+    assert code == 0
+    d = json.loads(out)
+    assert d["rounds"][0]["iterations"] > 0
+    del d["rounds"][0]["iterations"]  # written before rounds counted iterations
+    assert BoundReport.from_dict(d).rounds[0].iterations == 0
 
 
 def test_missing_instance_file_fails(capsys):

@@ -10,6 +10,7 @@ from bisectsdp import (
     Cut,
     LoopConfig,
     SolverConfig,
+    SolverStatus,
     append_cuts,
     build_new,
     build_wz,
@@ -241,9 +242,9 @@ def test_each_round_starts_from_the_rows_appended_before_it(monkeypatch):
         passes.append((p.num_ineq, []))
         return solve(p, *args, **kwargs)
 
-    def recording_ipm(data, cfg):
+    def recording_ipm(data, cfg, start=None):
         passes[-1][1].append(data.ineq_idx.copy())
-        return ipm(data, cfg)
+        return ipm(data, cfg, start)
 
     monkeypatch.setattr(bisectsdp.cuts, "solve", recording_solve)
     monkeypatch.setattr(bisectsdp.solver, "_ipm", recording_ipm)
@@ -255,6 +256,50 @@ def test_each_round_starts_from_the_rows_appended_before_it(monkeypatch):
     for (rows, sets), trace in zip(passes[1:], rep.rounds[1:]):
         assert rows == base + trace.cuts_total
         assert np.isin(np.arange(base, rows), sets[0]).all()
+
+
+@pytest.mark.parametrize("stall_tol", [-1e-5, np.nan, np.inf])
+def test_loop_config_rejects_a_bad_stall_tol(stall_tol):
+    with pytest.raises(ValueError, match="stall_tol must be finite and nonnegative"):
+        LoopConfig(stall_tol=stall_tol)
+
+
+def test_each_round_after_the_first_starts_from_the_last_solution(monkeypatch):
+    inst = BisectionInstance(generate("desargues"), 15, 5)
+    solve, starts, sols = bisectsdp.cuts.solve, [], []
+
+    def recording_solve(p, *args, start=None, **kwargs):
+        starts.append(start)
+        sols.append(solve(p, *args, start=start, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(bisectsdp.cuts, "solve", recording_solve)
+    rep = cutting_plane_loop(inst, LoopConfig(max_rounds=2))
+    assert len(rep.rounds) == 3
+    assert starts[0] is None and all(a is b for a, b in zip(starts[1:], sols))
+    assert all(t.iterations == s.iterations > 0 for t, s in zip(rep.rounds, sols))
+
+
+def test_warm_pass_short_of_optimal_is_solved_again_cold(monkeypatch):
+    # round 2 of this loop starts next to its optimum (the bound is already
+    # 3, the optimum), and its warm-started first pass collapses its step
+    inst = BisectionInstance(gen_gnp(9, 0.3, 903), 5, 4)
+    ipm, passes = bisectsdp.solver._ipm, []  # (warm, working set, status) per pass
+
+    def recording_ipm(data, cfg, start=None):
+        sol = ipm(data, cfg, start)
+        passes.append((start is not None, data.ineq_idx.copy(), sol.status))
+        return sol
+
+    monkeypatch.setattr(bisectsdp.solver, "_ipm", recording_ipm)
+    rep = cutting_plane_loop(inst, LoopConfig())
+    assert rep.ceiled_lower_bound == 3
+    assert all(t.solver_status == "optimal" for t in rep.rounds)
+    stalled = [t for t, (warm, _, status) in enumerate(passes) if warm and status is not SolverStatus.OPTIMAL]
+    assert stalled
+    for t in stalled:
+        warm, working, status = passes[t + 1]
+        assert not warm and np.array_equal(working, passes[t][1])
 
 
 def test_loop_desargues_reproduces_published_row():

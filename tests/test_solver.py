@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -265,9 +266,9 @@ def test_empty_hint_sifts_a_model_under_the_threshold(monkeypatch):
     assert 600 <= p.num_ineq <= 700
     ipm, seen = bisectsdp.solver._ipm, []  # each pass's inequality working set
 
-    def recording_ipm(data, cfg):
+    def recording_ipm(data, cfg, start=None):
         seen.append(data.ineq_idx.copy())
-        return ipm(data, cfg)
+        return ipm(data, cfg, start)
 
     monkeypatch.setattr(bisectsdp.solver, "_ipm", recording_ipm)
     whole = solve(p)
@@ -287,6 +288,58 @@ def test_hint_outside_the_rows_is_refused(gnp8):
     for bad in (-1, p.num_ineq):
         with pytest.raises(ValueError, match=f"ineq_hint holds rows outside .*\\[{bad}\\]"):
             solve(p, ineq_hint=[0, bad])
+
+
+@pytest.mark.parametrize(
+    "build, inst",
+    [
+        (lambda inst: build_new(inst, True), BisectionInstance(gen_gnp(30, 0.3, 21), 18, 12)),
+        (build_wz, BisectionInstance(gen_gnp(19, 0.5, 2), 10, 9)),
+    ],
+    ids=["new", "wz-face"],
+)
+def test_warm_start_resolves_in_fewer_iterations(build, inst):
+    p = build(inst)
+    assert p.num_ineq > 700  # both solves sift
+    cold = solve(p)
+    # the rows that bind, as the cut loop passes them, with and without the start
+    hint = np.flatnonzero(cold.dual_ineq > 1e-12)
+    rerun, warm = solve(p, ineq_hint=hint), solve(p, ineq_hint=hint, start=cold)
+    assert warm.status is SolverStatus.OPTIMAL
+    assert warm.iterations < rerun.iterations
+    assert warm.objective_primal == pytest.approx(cold.objective_primal, rel=1e-6)
+    assert safe_lower_bound(p, warm).value == pytest.approx(safe_lower_bound(p, cold).value, rel=1e-6)
+
+
+def test_start_that_does_not_fit_is_refused(gnp8):
+    p = build_new(gnp8, with_nonneg=True)
+    sol = solve(p)
+    misfits = [
+        dict(primal=sol.primal[:-1, :-1]),
+        dict(dual_eq=sol.dual_eq[:-1]),
+        dict(dual_ineq=np.zeros(p.num_ineq + 1)),
+    ]
+    for change in misfits:
+        with pytest.raises(ValueError, match="start has"):
+            solve(p, start=dataclasses.replace(sol, **change))
+    # fewer inequality multipliers than rows: the rows appended since get 0
+    short = solve(p, start=dataclasses.replace(sol, dual_ineq=sol.dual_ineq[:-5]))
+    assert short.status is SolverStatus.OPTIMAL
+
+
+def test_iterations_count_every_sifting_pass(monkeypatch):
+    p = build_new(BisectionInstance(gen_gnp(30, 0.3, 21), 18, 12), with_nonneg=True)
+    ipm, counts = bisectsdp.solver._ipm, []
+
+    def recording_ipm(data, cfg, start=None):
+        sol = ipm(data, cfg, start)
+        counts.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(bisectsdp.solver, "_ipm", recording_ipm)
+    sol = solve(p)
+    assert len(counts) > 1
+    assert sol.iterations == sum(counts)
 
 
 def test_wz_solves_close_to_new(gnp8):
