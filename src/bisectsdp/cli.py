@@ -137,9 +137,13 @@ def run_solve(args) -> int:
 def run_compare(args) -> int:
     inst = _load_instance(args)
     names = [r.strip() for r in args.relaxations.split(",") if r.strip()]
-    for name in names:
+    if not names:
+        raise InstanceFormatError("--relaxations names no relaxation")
+    for i, name in enumerate(names):
         if name not in _BUILDERS:
             raise InstanceFormatError(f"unknown relaxation {name!r}")
+        if name in names[:i]:
+            raise InstanceFormatError(f"--relaxations names {name!r} twice")
     if "wz" in names and inst.n > _WZ_MAX_N:
         raise InstanceFormatError(
             f"the vector-lifted relaxation is limited to n <= {_WZ_MAX_N} (got n={inst.n})"

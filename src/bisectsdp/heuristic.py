@@ -43,6 +43,10 @@ class TabuConfig:
     restarts: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"tabu seed must be non-negative, got {self.seed}")
+
     def resolve(self, n: int) -> tuple[int, int, int]:
         """Move budget, tabu tenure round(0.1 n) clamped to [5, 50], and the
         number of non-improving moves that ends a restart."""

@@ -4,7 +4,9 @@ A path-following method with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step, specialized to one dense PSD block plus scalar
 inequalities handled through nonnegative slacks. Problems in this package
 are small (block order <= 300) and dense, so all factorizations are dense;
-the Schur complement has one row per constraint.
+the Schur complement has one row per constraint. Its build computes the
+products W K_j W one batch of rows with equal entry count at a time, one
+stacked matrix product per batch, and holds them in that batch order.
 
 A problem with a face V (the vector-lifted relaxation, whose equalities
 force every feasible matrix into range(V)) is solved on R with M = V R V^T,
@@ -239,17 +241,29 @@ class _Data:
         their entries for the Schur build."""
         n = self.N
         self.A = A
+        self.At = A.T.tocsr()
         self.me, self.m = me, A.shape[0]
         self.mi = self.m - me
-        counts, self.r, self.c, v = upper_entries(A, n)
+        counts, r, c, v = upper_entries(A, n)
+        u = v * np.where(r != c, 1.0, 0.5)
         # rows with many entries enter the Schur build as dense matrices,
         # the rest as (r, c, u) with halved diagonal values, which makes
-        # T = U V^T + V U^T exact
+        # W K W = U'V + V'U exact (_batch_products). The build takes the rows
+        # in batch order: runs of equal entry count, (a, b, r, c, u) with
+        # (b - a, k) entry arrays, then the dense rows; row i sits at place
+        # _inverse[i].
         dense = counts > _DENSE_NNZ_FACTOR * n
-        self.dense_K = A[dense].toarray().reshape(-1, n, n)
-        self._dense = dense.tolist()
-        self._ptr = np.concatenate(([0], np.cumsum(counts))).tolist()
-        self.u = v * np.where(self.r != self.c, 1.0, 0.5)
+        order = np.lexsort((counts, dense))
+        self._inverse = np.empty_like(order)
+        self._inverse[order] = np.arange(self.m)
+        sparse = order[: self.m - np.count_nonzero(dense)]
+        start = np.cumsum(counts) - counts
+        edges = np.flatnonzero(np.diff(counts[sparse], prepend=-1, append=-1))
+        self._groups = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            at = start[sparse[a:b], None] + np.arange(counts[sparse[a]])
+            self._groups.append((a, b, r[at], c[at], u[at]))
+        self.dense_K = A[order[len(sparse):]].toarray().reshape(-1, n, n)
         self._Tbuf = None
 
     def lift(self, R: np.ndarray) -> np.ndarray:
@@ -262,12 +276,14 @@ class _Data:
 
     def adjoint(self, yfull: np.ndarray) -> np.ndarray:
         """sum_i yfull_i K_i as a dense symmetric matrix."""
-        K = (self.A.T @ yfull).reshape(self.N, self.N)
+        K = (self.At @ yfull).reshape(self.N, self.N)
         return K if self.V is None else self.V.T @ K @ self.V
 
     def schur(self, W: np.ndarray, d_lp: np.ndarray) -> np.ndarray:
         """Schur complement: S[i,j] = <K_i, W K_j W>, plus diag(u/q) on slacks.
 
+        The buffer T holds the products W K_j W in the batch order of
+        _set_rows, and _inverse puts the columns of A T' back in row order.
         With a face, <V'K_iV, W V'K_jV W> = <K_i, Wt K_j Wt> for Wt = V W V'.
         """
         W = self.lift(W)
@@ -275,28 +291,29 @@ class _Data:
         if self._Tbuf is None:
             self._Tbuf = np.empty((m, n * n))
         T = self._Tbuf
-        r, c, u, ptr = self.r, self.c, self.u, self._ptr
-        nd = 0
-        for i, dense in enumerate(self._dense):
-            Ti = T[i].reshape(n, n)
-            if dense:
-                np.matmul(W @ self.dense_K[nd], W, out=Ti)
-                nd += 1
-            else:
-                a, b = ptr[i], ptr[i + 1]
-                U = W[:, r[a:b]] * u[a:b]
-                V = W[:, c[a:b]]
-                # [U V][V U]^T gives the symmetrized product in one gemm
-                np.matmul(
-                    np.concatenate([U, V], axis=1),
-                    np.concatenate([V, U], axis=1).T,
-                    out=Ti,
-                )
-        S = self.A @ T.T
+        for a, b, r, c, u in self._groups:
+            _batch_products(W, r, c, u, out=T[a:b].reshape(b - a, n, n))
+        for K, Ti in zip(self.dense_K, T[m - len(self.dense_K):]):
+            np.matmul(W @ K, W, out=Ti.reshape(n, n))
+        S = (self.A @ T.T)[:, self._inverse]
         S = 0.5 * (S + S.T)
         i = np.arange(self.me, m)
         S[i, i] += d_lp
         return S
+
+
+def _batch_products(W, r, c, u, out) -> None:
+    """out[t] = U'V + V'U = W K_t W for a batch of rows with k entries each,
+    where row j of the (k, n) arrays U and V is u[t, j] W[:, r[t, j]] and
+    W[:, c[t, j]]."""
+    # W'[r] stacks the batch's U as C-ordered (g, k, n) arrays, each the
+    # transpose of the F-ordered W[:, r[t]] of one row, so every row's gemm
+    # sees the operand layouts it would alone; the temporaries die here,
+    # before the caller's A T' copies T
+    k = r.shape[1]
+    UV = np.concatenate([W.T[r] * u[:, :, None], W.T[c]], axis=1)
+    # [U; V]' [V; U] gives each row's symmetrized product in one gemm
+    np.matmul(UV.transpose(0, 2, 1), np.concatenate([UV[:, k:], UV[:, :k]], axis=1), out=out)
 
 
 # presolve thresholds: a row keeps less than this share of its norm on the
@@ -453,7 +470,7 @@ def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> 
 
     def mu_of(w):
         X, u, _, Z, q, tau, kappa = w
-        return (float(np.tensordot(X, Z)) + float(u @ q) + tau * kappa) / (n + mi + 1)
+        return (float(np.vdot(X, Z)) + float(u @ q) + tau * kappa) / (n + mi + 1)
 
     def toward(d, alpha):
         return tuple(a + alpha * b for a, b in zip(v, d))
@@ -474,11 +491,11 @@ def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> 
         AX = data.apply(X)
         rP = bh * tau - np.concatenate([AX[:me], AX[me:] + u])
         rD = Cm * tau - data.adjoint(yfull) - Z
-        rG = kappa + float(np.tensordot(Cm, X)) - float(bh @ yfull)
+        rG = kappa + float(np.vdot(Cm, X)) - float(bh @ yfull)
 
         # de-homogenized metrics against the original data
         Xs = X / tau
-        pobj = cnorm * float(np.tensordot(Cm, Xs)) + data.c0
+        pobj = cnorm * float(np.vdot(Cm, Xs)) + data.c0
         dobj = cnorm * float(data.b @ y - data.h @ q) / tau + data.c0
         AXs = AX / tau
         pinf = max(np.abs(AXs[:me] - data.b).max(initial=0.0),
@@ -531,7 +548,7 @@ def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> 
         WCW = W @ Cm @ W
         WrDW = W @ rD @ W
         chat = data.apply(WCW)
-        gamma = float(np.tensordot(Cm, WCW))
+        gamma = float(np.vdot(Cm, WCW))
         Qhat = schur_solve(bh + chat)
         denom_tau = float((bh - chat) @ Qhat) + gamma + kappa / tau
 
@@ -542,7 +559,7 @@ def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> 
             r0 = rp_loc - data.apply(body)
             r0[me:] -= r_uq
             phat = schur_solve(r0)
-            num = rG_loc + float(np.tensordot(Cm, body)) + rc_tau / tau - float((bh - chat) @ phat)
+            num = rG_loc + float(np.vdot(Cm, body)) + rc_tau / tau - float((bh - chat) @ phat)
             dtau = num / denom_tau
             dyw = phat + Qhat * dtau
             dZ = Cm * dtau - data.adjoint(dyw)
@@ -563,7 +580,7 @@ def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> 
                 adx = data.apply(dX)
                 adx[me:] += du
                 resP = rp_loc - (adx - bh * dtau)
-                resG = rG_loc - (float(bh @ dyw) - float(np.tensordot(Cm, dX)) - dkap)
+                resG = rG_loc - (float(bh @ dyw) - float(np.vdot(Cm, dX)) - dkap)
                 limit = 1e-13 * (1.0 + np.abs(rp_loc).max(initial=0.0))
                 if max(np.abs(resP).max(initial=0.0), abs(resG)) < limit:
                     break

@@ -212,3 +212,35 @@ def test_compare_subset(capsys):
     assert code == 0
     assert set(rep["values"]) == {"basic", "new"}
     assert "basic-new" in rep["pairwise_gaps"]
+
+
+@pytest.mark.parametrize(
+    "relaxations, what",
+    [(",", "names no relaxation"), ("new,new", "'new' twice"), ("basic,new,basic", "'basic' twice")],
+    ids=["empty", "repeated", "repeated-apart"],
+)
+def test_compare_rejects_an_empty_or_repeated_list(capsys, monkeypatch, relaxations, what):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a relaxation was solved")
+
+    monkeypatch.setattr("bisectsdp.cli.solve", unreachable)
+    code, out, err = run(
+        capsys, "compare", "--generate", "gnp:8,0.5,1", "--m", "5,3", "--relaxations", relaxations
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert what in err
+    assert out == ""
+
+
+def test_negative_tabu_seed_names_the_flag(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the lower bound ran before the seed was refused")
+
+    monkeypatch.setattr("bisectsdp.cli.solve", unreachable)
+    code, _, err = run(
+        capsys, "solve", "--generate", "pappus", "--m", "10,8", "--ub", "tabu", "--seed", "-3"
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert "seed" in err

@@ -90,6 +90,11 @@ def test_tabu_rejects_nonpositive_settings(gnp8, cfg):
         tabu_search(gnp8, TabuConfig(**cfg))
 
 
+def test_tabu_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        TabuConfig(seed=-3)
+
+
 def test_tabu_deterministic(gnp8):
     cfg = TabuConfig(seed=42, restarts=3)
     a1, c1 = tabu_search(gnp8, cfg)

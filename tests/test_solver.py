@@ -208,6 +208,51 @@ def test_solves_without_rows_or_equalities(text, status, value):
         assert sol.objective_primal == pytest.approx(value, abs=1e-6)
 
 
+def _schur_case(name, inst):
+    """A problem and an inequality working set for the Schur build test."""
+    if name == "no-rows":
+        return problem_from_text("* block_order 2\nobjective | 1,1,1 2,2,1 | 0 | min\n"), []
+    if name == "basic":
+        p = build_basic(inst)
+    elif name == "wz":
+        p = build_wz(inst)
+    else:
+        p = build_new(inst, with_nonneg=True)
+    if name != "new-cuts":
+        return p, np.arange(p.num_ineq)
+    from bisectsdp import Cut, append_cuts
+
+    added = append_cuts(p, [Cut("tri-a", 0, 1, 2), Cut("tri-b", 0, 1, 3), Cut("tri-b", 2, 4, 6)])
+    # a scrambled hint mixes rows of 1, 2, 3, 4 and 6 upper-triangle entries
+    rng = np.random.default_rng(5)
+    hint = np.concatenate([rng.choice(p.num_ineq - added, 40, replace=False),
+                           np.arange(p.num_ineq - added, p.num_ineq)])
+    return p, rng.permutation(hint)
+
+
+@pytest.mark.parametrize("name", ["basic", "new", "new-cuts", "wz", "no-rows"])
+def test_schur_matches_its_definition(gnp8, name):
+    """The batched build gives S[i,j] = <K_i, W K_j W> + diag(d) in the
+    order of the working set's rows, dense rows and a face included."""
+    p, idx = _schur_case(name, gnp8)
+    data = bisectsdp.solver._Data(p, idx)
+    if name in ("basic", "new", "new-cuts"):
+        assert len(data.dense_K) > 0  # the trace or j-trace row
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((data.n, data.n))
+    W = G @ G.T + 0.1 * np.eye(data.n)
+    d = rng.random(data.mi)
+    N = p.block_order
+    K = data.A.toarray().reshape(-1, N, N)
+    if p.face is not None:
+        K = p.face.T @ K @ p.face
+    expected = np.einsum("iab,jab->ij", K, W @ K @ W)
+    expected[data.me :, data.me :] += np.diag(d)
+    S = data.schur(W, d)
+    assert S.shape == (data.m, data.m)
+    assert np.abs(S - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=1.0)
+
+
 @pytest.mark.parametrize(
     "builder",
     [build_basic, lambda inst: build_new(inst, True), build_wz],
