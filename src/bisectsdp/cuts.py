@@ -25,7 +25,7 @@ from .model import ConicProblem, RelaxationKind, build_new
 from .report import BoundReport, RoundTrace, ceil_bound
 from .solver import SolverConfig, safe_lower_bound, solve
 
-__all__ = ["Cut", "LoopConfig", "separate", "append_cuts", "cutting_plane_loop"]
+__all__ = ["Cut", "LoopConfig", "triangles", "separate", "append_cuts", "cutting_plane_loop"]
 
 TRI_A = "tri-a"
 TRI_B = "tri-b"
@@ -40,6 +40,8 @@ class Cut:
     violation: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in (TRI_A, TRI_B):
+            raise ValueError(f"unknown cut kind {self.kind!r}; expected {TRI_A!r} or {TRI_B!r}")
         if len({self.i, self.j, self.k}) < 3:
             raise ValueError(f"cut indices {self.key()} are not distinct")
 
@@ -73,6 +75,17 @@ class Cut:
         )
 
 
+def triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the tri-a and tri-b triples over the (i, j, k) grid of order n.
+
+    tri-a takes i < j with k distinct from both, tri-b takes i < j < k.
+    ``np.nonzero`` of either lists its triples in lexicographic order.
+    """
+    i, j, k = np.ogrid[:n, :n, :n]
+    pair = i < j
+    return pair & (k != i) & (k != j), pair & (j < k)
+
+
 def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
     """All triangle cuts violated at X by more than eps, strongest first.
 
@@ -87,20 +100,6 @@ def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
     d = np.diag(X).copy()
 
     va = X[:, None, :] + X[None, :, :] - d[None, None, :] - X[:, :, None]
-    iu, ju = np.triu_indices(n, 1)
-    va = va[iu, ju, :]  # rows indexed by pairs i<j, columns by k
-    kk = np.tile(np.arange(n), len(iu)).reshape(len(iu), n)
-    valid = (kk != iu[:, None]) & (kk != ju[:, None])
-    hit = (va > eps) & valid
-    pi, pk = np.nonzero(hit)
-    cuts_a = (
-        np.zeros(len(pi), dtype=int),
-        iu[pi],
-        ju[pi],
-        pk,
-        va[pi, pk],
-    )
-
     vb = (
         d[:, None, None]
         + d[None, :, None]
@@ -110,25 +109,11 @@ def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
         - X[None, :, :]
         - 1.0
     )
-    ii, jj, kk3 = np.nonzero(vb > eps)
-    keep = (ii < jj) & (jj < kk3)
-    ii, jj, kk3 = ii[keep], jj[keep], kk3[keep]
-    cuts_b = (
-        np.ones(len(ii), dtype=int),
-        ii,
-        jj,
-        kk3,
-        vb[ii, jj, kk3],
-    )
-
-    kind = np.concatenate([cuts_a[0], cuts_b[0]])
-    i_all = np.concatenate([cuts_a[1], cuts_b[1]])
-    j_all = np.concatenate([cuts_a[2], cuts_b[2]])
-    k_all = np.concatenate([cuts_a[3], cuts_b[3]])
-    viol = np.concatenate([cuts_a[4], cuts_b[4]])
-    order = np.lexsort((k_all, j_all, i_all, kind, -viol))
-    if limit is not None:
-        order = order[:limit]
+    hit_a, hit_b = (np.nonzero(mask & (v > eps)) for mask, v in zip(triangles(n), (va, vb)))
+    kind = np.repeat([0, 1], [len(hit_a[0]), len(hit_b[0])])
+    i_all, j_all, k_all = map(np.concatenate, zip(hit_a, hit_b))
+    viol = np.concatenate([va[hit_a], vb[hit_b]])
+    order = np.lexsort((k_all, j_all, i_all, kind, -viol))[:limit]
     names = (TRI_A, TRI_B)
     return [
         Cut(names[kind[t]], int(i_all[t]), int(j_all[t]), int(k_all[t]), float(viol[t]))

@@ -11,12 +11,11 @@ domination relation between the bounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import TRI_A, TRI_B, Cut
+from .cuts import TRI_A, TRI_B, Cut, triangles
 from .graphs import BisectionInstance
 from .model import ConicProblem, RelaxationKind, add_pair_facets, build_new, build_wz
 from .solver import min_eigenvalue
@@ -84,6 +83,11 @@ def _split_bordered(B: np.ndarray) -> tuple[int, np.ndarray]:
     return (B.shape[0] - 1) // 2, B[1:, 1:]
 
 
+def _bordered(y: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The bordered matrix [[1, y^T], [y, Y]]."""
+    return np.block([[np.ones((1, 1)), y[None, :]], [y[:, None], Y]])
+
+
 def lift_new_to_wz(X: np.ndarray, inst: BisectionInstance, tol: float = 1e-6) -> np.ndarray:
     """Lift a feasible order-n matrix to the bordered vector-lifted form.
 
@@ -96,19 +100,9 @@ def lift_new_to_wz(X: np.ndarray, inst: BisectionInstance, tol: float = 1e-6) ->
     _require_feasible(build_new(inst, with_nonneg=True), X, tol, "order-n")
     x = np.diag(X).copy()
     J = np.ones((n, n))
-    Y11 = X
     Y12 = np.outer(x, np.ones(n)) - X
     Y22 = J + X - np.outer(x, np.ones(n)) - np.outer(np.ones(n), x)
-    y = np.concatenate([x, 1.0 - x])
-    B = np.empty((2 * n + 1, 2 * n + 1))
-    B[0, 0] = 1.0
-    B[0, 1:] = y
-    B[1:, 0] = y
-    B[1 : n + 1, 1 : n + 1] = Y11
-    B[1 : n + 1, n + 1 :] = Y12
-    B[n + 1 :, 1 : n + 1] = Y12.T
-    B[n + 1 :, n + 1 :] = Y22
-    return B
+    return _bordered(np.concatenate([x, 1.0 - x]), np.block([[X, Y12], [Y12.T, Y22]]))
 
 
 def project_wz_to_new(B: np.ndarray, inst: BisectionInstance, tol: float = 1e-6) -> np.ndarray:
@@ -144,6 +138,8 @@ def check_linking_identities(B: np.ndarray, m1: int, m2: int, tol: float = 1e-6)
     """
     B = np.asarray(B, dtype=float)
     n, Y = _split_bordered(B)
+    if m1 + m2 != n:
+        raise ValueError(f"part sizes m1={m1} and m2={m2} do not add up to n={n}")
     Y11 = Y[:n, :n]
     Y12 = Y[:n, n:]
     Y22 = Y[n:, n:]
@@ -177,12 +173,7 @@ def check_bordered_psd_equivalence(X: np.ndarray, tol: float = 1e-8) -> bool:
     scale = 1.0 + float(np.abs(X).max()) * n
     if np.abs(Xe - c * x).max() > 1e-6 * scale:
         raise ValueError("X e is not parallel to diag(X); the equivalence needs it")
-    B = np.empty((n + 1, n + 1))
-    B[0, 0] = 1.0
-    B[0, 1:] = x
-    B[1:, 0] = x
-    B[1:, 1:] = X
-    side_bordered = min_eigenvalue(B) >= -tol
+    side_bordered = min_eigenvalue(_bordered(x, X)) >= -tol
     trX = float(np.trace(X))
     side_plain = (min_eigenvalue(X) >= -tol) and (
         float(np.ones(n) @ X @ np.ones(n)) >= trX * trX - tol
@@ -200,14 +191,8 @@ def add_lifted_facets(p: ConicProblem) -> None:
     N2 = p.block_order - 1
     # +1 offset for the border row/column
     add_pair_facets(p, N2, "lift-ub", "lift-pair", offset=1)
-    tri_a = [
-        Cut(TRI_A, i, j, k)
-        for i, j in itertools.combinations(range(N2), 2)
-        for k in range(N2)
-        if k not in (i, j)
-    ]
-    tri_b = [Cut(TRI_B, *t) for t in itertools.combinations(range(N2), 3)]
-    for family, cuts in (("lift-tri-a", tri_a), ("lift-tri-b", tri_b)):
+    for kind, mask in zip((TRI_A, TRI_B), triangles(N2)):
+        cuts = [Cut(kind, *t) for t in np.argwhere(mask).tolist()]
         r, c, v = (np.concatenate(a) for a in zip(*(cut.entries() for cut in cuts)))
-        labels = [f"{family}({cut.i},{cut.j},{cut.k})" for cut in cuts]
+        labels = [f"lift-{kind}({cut.i},{cut.j},{cut.k})" for cut in cuts]
         p.add_inequalities(r + 1, c + 1, v, [cut.rhs() for cut in cuts], labels)

@@ -290,6 +290,8 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("need n >= 2")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must be a probability")
+    if seed < 0:
+        raise ValueError(f"gnp seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     edges = []
     for i in range(n):

@@ -244,3 +244,11 @@ def test_negative_tabu_seed_names_the_flag(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error:")
     assert "seed" in err
+
+
+def test_negative_gnp_seed_names_the_seed(capsys):
+    code, out, err = run(capsys, "solve", "--generate", "gnp:10,0.5,-1", "--m", "5,5")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "gnp seed" in err
+    assert out == ""

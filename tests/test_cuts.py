@@ -101,6 +101,13 @@ def test_separate_rejects_a_negative_limit():
         separate(X, limit=-1)
 
 
+def test_cut_rejects_an_unknown_kind():
+    # without the check every method falls through to tri-b, and append_cuts
+    # would add a tri-b row under the label bqp-cut(tri-c,0,1,2)
+    with pytest.raises(ValueError, match="unknown cut kind 'tri-c'"):
+        Cut("tri-c", 0, 1, 2)
+
+
 def inner(r, c, v, M):
     """<K, M> of the upper-triangle entries (r, c, v); off-diagonals count twice."""
     r, c = np.asarray(r), np.asarray(c)

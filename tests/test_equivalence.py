@@ -155,6 +155,17 @@ def test_linking_identities_reject_a_matrix_without_a_border(shape):
         check_linking_identities(np.zeros(shape), 4, 2)
 
 
+def test_linking_identities_reject_part_sizes_that_miss_n():
+    inst = BisectionInstance(gen_gnp(8, 0.5, 3), 5, 3)
+    B = solve(build_wz(inst)).primal
+    assert check_linking_identities(B, 5, 3).passed
+    # sizes that add up to n but are not the matrix's fail the degree families
+    assert not check_linking_identities(B, 4, 4).passed
+    for m1, m2 in ((9, 9), (4, 3)):
+        with pytest.raises(ValueError, match=rf"m1={m1} and m2={m2} do not add up to n=8"):
+            check_linking_identities(B, m1, m2)
+
+
 def test_bordered_equivalence_positive_cases(gnp8):
     assert check_bordered_psd_equivalence(strictly_feasible_point(gnp8))
     z = np.zeros(8)

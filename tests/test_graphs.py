@@ -207,6 +207,11 @@ def test_gnp_endpoints_and_determinism():
         gen_gnp(5, 1.5, 1)
 
 
+def test_gnp_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="gnp seed must be non-negative, got -1"):
+        gen_gnp(10, 0.5, -1)
+
+
 def test_generator_registry():
     assert generate("johnson:7,2").n == 21
     assert generate("gnp:30,0.3,42").n == 30

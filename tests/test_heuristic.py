@@ -226,9 +226,11 @@ def test_cycle_exit_returns_what_the_full_run_returns(monkeypatch):
     cases = list(_exactness_battery())
     monkeypatch.setattr("bisectsdp.heuristic._tabu_run", recording(_tabu_run, restarts["exit"]))
     got = [tabu_search(inst, cfg) for inst, cfg in cases]
-    monkeypatch.setattr(
-        "bisectsdp.heuristic._tabu_run", recording(_reference_tabu_run, restarts["full"])
-    )
+    # a patience equal to the move budget never ends a restart early
+    def reference(W, side, iters, tenure, global_best):
+        return _reference_tabu_run(W, side, iters, tenure, iters, global_best)
+
+    monkeypatch.setattr("bisectsdp.heuristic._tabu_run", recording(reference, restarts["full"]))
     for k, ((inst, cfg), (a, c)) in enumerate(zip(cases, got)):
         ref_a, ref_c = tabu_search(inst, cfg)
         assert (c, a.part1_set()) == (ref_c, ref_a.part1_set()), k
