@@ -1,27 +1,23 @@
 """Upper bounds: tabu search over swap moves, exact optimum by enumeration.
 
 The tabu search keeps part sizes feasible by only exchanging one vertex of
-each part. Move gains are maintained incrementally: with D[v] the internal-
-minus-external weighted degree of v, swapping a and b changes the cut by
-D[a] + D[b] + 2 w(a,b). After the swap every other vertex v gains
-2 w(v,b) - 2 w(v,a) if it lies in part 1 and the negative otherwise, and
-the two moved vertices end at -(D + 2 w(a,b)). Recently moved vertices are
-tabu for a fixed tenure unless the move improves the best cut seen
-(aspiration).
+each part. With D[v] the internal-minus-external weighted degree of v,
+swapping a and b changes the cut by D[a] + D[b] + 2 w(a,b). After each swap
+D and the cut are recomputed from the part-1 indicator with one product
+W z. Recently moved vertices are tabu for a fixed tenure unless the move
+improves the best cut seen (aspiration).
 
 A restart ends when its budget of 2000 n moves is spent, or as soon as its
-search state repeats exactly. The state is the part-1 indicator, the gains
-D, the cut and each vertex's remaining tenure. The next move depends only
-on that state and on the run's and the global best cut, and both bests are
-constant between improvements. So a repeated state repeats its moves
-forever and never improves again, and running on to the budget would
-return the same best cut and assignment. Repeats are found by Brent's
-method: one checkpoint, dropped on every improvement and retaken at
-distances 1, 2, 4, ... non-improving moves from the last one (Brent, BIT
-20, 1980). On the named graphs of the paper's table a restart then makes
-at most about 310 moves, and on biggs-smith at most about 1,100. Under
-fractional weights the gains drift by rounding, so a state may repeat late
-or never, and a restart can run to its budget.
+search state repeats exactly. The state is the part-1 indicator and each
+vertex's remaining tenure; D and the cut are functions of the indicator.
+The next move depends only on that state and on the run's and the global
+best cut, and both bests are constant between improvements. So a repeated
+state repeats its moves forever and never improves again, and running on
+to the budget would return the same best cut and assignment. Repeats are
+found by Brent's method: one checkpoint, dropped on every improvement and
+retaken at distances 1, 2, 4, ... non-improving moves from the last one
+(Brent, BIT 20, 1980). On the named graphs of the paper's table a restart
+then makes at most about 310 moves, and on biggs-smith at most about 1,100.
 """
 
 from __future__ import annotations
@@ -57,32 +53,18 @@ class TabuConfig:
         return iters, min(50, max(5, round(0.1 * n)))
 
 
-def _swap(W: np.ndarray, side: np.ndarray, D: np.ndarray, a: int, b: int) -> float:
-    """Exchange a (part 1) with b (part 2) in ``side`` and the gains ``D``,
-    in place; return the cut change."""
-    delta = float(D[a] + D[b] + 2.0 * W[a, b])
-    D += 2.0 * np.where(side, 1.0, -1.0) * (W[:, b] - W[:, a])
-    D[[a, b]] *= -1.0
-    side[a] = False
-    side[b] = True
-    return delta
-
-
-def _gains(W: np.ndarray, side: np.ndarray) -> np.ndarray:
-    """D[v] = internal minus external weighted degree of v."""
-    z = side.astype(float)
-    same = W @ z
-    total = W.sum(axis=1)
+def _gains(W: np.ndarray, total: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, float]:
+    """D[v] = internal minus external weighted degree of v, and the cut of
+    ``side``; ``total`` holds the weighted degrees."""
+    same = W @ side.astype(float)
     internal = np.where(side, same, total - same)
-    return 2.0 * internal - total
+    return 2.0 * internal - total, float((total - same)[side].sum())
 
 
 def tabu_search(inst: BisectionInstance, cfg: TabuConfig | None = None) -> tuple[Assignment, float]:
     """Best bisection found over seeded random restarts of tabu search.
 
-    The reported value is the cut of the returned set. Restarts are ranked
-    by the cut summed move by move, which under fractional weights drifts
-    from it by rounding.
+    The reported value is ``cut_value`` of the returned set.
     """
     cfg = cfg or TabuConfig()
     n = inst.n
@@ -107,16 +89,15 @@ def tabu_search(inst: BisectionInstance, cfg: TabuConfig | None = None) -> tuple
 
 def _tabu_run(W, side, iters, tenure, global_best):
     n = len(side)
+    total = W.sum(axis=1)
     side = side.copy()
-    z = side.astype(float)
-    cut = float(z @ (np.diag(W.sum(axis=1)) - W) @ z)
-    D = _gains(W, side)
+    D, cut = _gains(W, total, side)
     tabu_until = np.zeros(n, dtype=int)
     best_side = side.copy()
     best_cut = cut
-    # Brent checkpoint: its cut and (side, D, remaining tenures), taken
-    # ``lam`` moves ago; ``power`` is the distance at which it is retaken
-    seen_cut, seen = None, ()
+    # Brent checkpoint: (side, remaining tenures) taken ``lam`` moves ago;
+    # ``power`` is the distance at which it is retaken
+    seen = None
     power = lam = 1
 
     for it in range(1, iters + 1):
@@ -132,21 +113,21 @@ def _tabu_run(W, side, iters, tenure, global_best):
         flat = int(np.argmin(masked))
         a = int(idx1[flat // len(idx2)])
         b = int(idx2[flat % len(idx2)])
-        cut += _swap(W, side, D, a, b)
+        side[a], side[b] = False, True
+        D, cut = _gains(W, total, side)
         tabu_until[a] = it + tenure
         tabu_until[b] = it + tenure
         if cut < best_cut - 1e-12:
             best_cut = cut
             best_side = side.copy()
-            seen_cut, power, lam = None, 1, 1
+            seen, power, lam = None, 1, 1
             continue
-        # the state that fixes every later move (module docstring); the cut
-        # is compared first, so a run whose float gains drift pays little
-        state = (side, D, np.maximum(tabu_until - it, 0))
-        if cut == seen_cut and all(map(np.array_equal, state, seen)):
+        # the state that fixes every later move (module docstring)
+        state = (side, np.maximum(tabu_until - it, 0))
+        if seen is not None and all(map(np.array_equal, state, seen)):
             break
         if lam == power:
-            seen_cut, seen = cut, tuple(x.copy() for x in state)
+            seen = tuple(x.copy() for x in state)
             power, lam = 2 * power, 0
         lam += 1
     return best_side, best_cut

@@ -45,7 +45,8 @@ trusts the solver's state.
 
 Every solve is one sifting loop: it repeatedly solves with a working
 subset of inequalities and activates any whose violation over its norm on
-the whole block exceeds half the tolerance. A caller's hint, even an empty
+the whole block exceeds half the tolerance; a pass that ends short of
+OPTIMAL with no such row activates every row. A caller's hint, even an empty
 one, is the first working set; the cut loop passes one on every round, so
 its solves carry only the rows that bind. Without a hint, a list of at
 most 700 inequalities is the first working set whole, so the first pass
@@ -63,9 +64,7 @@ previous point moved 1% of the way back to the cold start, the warm start
 of Skajaa, Andersen and Ye for the homogeneous embedding (Math. Prog.
 Comp., 2013); a row without a multiplier in it, such as a cut appended
 since, starts with slack and multiplier 0.01 or more. A warm-started pass
-that ends short of OPTIMAL is solved again cold. A solve without a start
-whose first pass activates nothing runs exactly as before warm starts
-existed.
+that ends short of OPTIMAL is solved again cold.
 
 Each working set's data is an equilibrated row slice of the problem's
 stacked operator; sifting and the safe bound apply that operator unscaled.
@@ -715,7 +714,9 @@ def solve(
     otherwise. A warm-started pass that ends short of OPTIMAL is solved
     again cold on the same working set. A ``start`` whose primal is not N x N, whose ``dual_eq`` does
     not hold ``num_eq`` values or whose ``dual_ineq`` holds more than
-    ``num_ineq`` is a ValueError. ``cfg.max_iters`` bounds each pass, and
+    ``num_ineq`` is a ValueError. A pass that ends short of OPTIMAL and
+    activates nothing while rows remain outside its working set is solved
+    again with every row. ``cfg.max_iters`` bounds each pass, and
     ``iterations`` counts those of every pass.
 
     Returns the best iterate found together with the objective values and
@@ -771,9 +772,14 @@ def solve(
         viol = p.ineq_violations(sol.primal)
         cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol * norm), working)
         if len(cand) == 0:
-            return sol
-        order = np.lexsort((cand, -viol[cand]))
-        working = np.sort(np.concatenate([working, cand[order[:batch]]]))
+            if sol.status is SolverStatus.OPTIMAL or len(working) == mi:
+                return sol
+            # a pass that fails without violating a row outside its working
+            # set (an unbounded one, say) takes every row and solves again
+            working = np.arange(mi)
+        else:
+            order = np.lexsort((cand, -viol[cand]))
+            working = np.sort(np.concatenate([working, cand[order[:batch]]]))
         start = sol if sol.status is SolverStatus.OPTIMAL else None
     sol.status = SolverStatus.MAX_ITERS
     sol.message = "inequality sifting did not settle"

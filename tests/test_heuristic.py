@@ -11,8 +11,8 @@ from bisectsdp import (
     generate,
     tabu_search,
 )
-from bisectsdp.graphs import adjacency
-from bisectsdp.heuristic import _gains, _swap, _tabu_run
+from bisectsdp.graphs import Assignment, adjacency
+from bisectsdp.heuristic import _gains, _tabu_run
 from conftest import enumerate_min_cut
 
 
@@ -57,25 +57,34 @@ def test_brute_force_returns_feasible_assignment(gnp8):
     assert cut_value(gnp8.graph, a) == c
 
 
-def test_swap_matches_recomputation():
-    from bisectsdp.graphs import Assignment
-
+@pytest.mark.parametrize("fractional", [False, True], ids=["unit", "3-decimal"])
+def test_gains_and_cut_match_cut_value(fractional):
+    """Along 30 random swaps, the cut from ``_gains`` is the cut of the set,
+    and D[a] + D[b] + 2 w(a,b) is the cut change of swapping any a in part 1
+    with any b in part 2; exactly so on unit weights."""
     rng = np.random.default_rng(23)
-    g = gen_gnp(12, 0.5, 77)
+    g = _graph(12, 0.5, 77, fractional)
     W = adjacency(g)
+    total = W.sum(axis=1)
     side = np.zeros(12, dtype=bool)
     side[rng.choice(12, size=7, replace=False)] = True
-    D = _gains(W, side)
+
+    def cut_of(s):
+        return cut_value(g, Assignment.from_part1(12, np.flatnonzero(s)))
+
+    tol = 1e-9 if fractional else 0.0
     for _ in range(30):
-        a = int(rng.choice(np.flatnonzero(side)))
-        b = int(rng.choice(np.flatnonzero(~side)))
-        cut_before = cut_value(g, Assignment.from_part1(12, np.flatnonzero(side)))
-        delta = _swap(W, side, D, a, b)
-        assert not side[a] and side[b]
-        cut_after = cut_value(g, Assignment.from_part1(12, np.flatnonzero(side)))
-        assert cut_after - cut_before == pytest.approx(delta, abs=1e-9)
-        # the incremental gains equal the recomputed ones exactly on unit weights
-        assert np.array_equal(D, _gains(W, side))
+        D, cut = _gains(W, total, side)
+        before = cut_of(side)
+        assert cut == pytest.approx(before, rel=0, abs=tol)
+        for a in np.flatnonzero(side):
+            for b in np.flatnonzero(~side):
+                swapped = side.copy()
+                swapped[[a, b]] = False, True
+                delta = D[a] + D[b] + 2.0 * W[a, b]
+                assert cut_of(swapped) - before == pytest.approx(delta, rel=0, abs=tol)
+        a, b = rng.choice(np.flatnonzero(side)), rng.choice(np.flatnonzero(~side))
+        side[[a, b]] = False, True
 
 
 def test_tabu_matches_optimum_on_star(star31):
@@ -138,18 +147,16 @@ def test_tabu_reaches_published_upper_bounds():
         assert c <= ub
 
 
-def _reference_tabu_run(W, side, iters, tenure, patience, global_best):
-    """The restart loop without the cycle exit: it ends only when its
-    patience or its move budget runs out."""
+def _reference_tabu_run(W, side, iters, tenure, global_best):
+    """The restart loop without the cycle exit: it ends only when its move
+    budget runs out."""
     n = len(side)
+    total = W.sum(axis=1)
     side = side.copy()
-    z = side.astype(float)
-    cut = float(z @ (np.diag(W.sum(axis=1)) - W) @ z)
-    D = _gains(W, side)
+    D, cut = _gains(W, total, side)
     tabu_until = np.zeros(n, dtype=int)
     best_side = side.copy()
     best_cut = cut
-    last_improve = 0
     for it in range(1, iters + 1):
         idx1 = np.flatnonzero(side)
         idx2 = np.flatnonzero(~side)
@@ -163,15 +170,13 @@ def _reference_tabu_run(W, side, iters, tenure, patience, global_best):
         flat = int(np.argmin(masked))
         a = int(idx1[flat // len(idx2)])
         b = int(idx2[flat % len(idx2)])
-        cut += _swap(W, side, D, a, b)
+        side[a], side[b] = False, True
+        D, cut = _gains(W, total, side)
         tabu_until[a] = it + tenure
         tabu_until[b] = it + tenure
         if cut < best_cut - 1e-12:
             best_cut = cut
             best_side = side.copy()
-            last_improve = it
-        elif it - last_improve > patience:
-            break
     return best_side, best_cut
 
 
@@ -185,10 +190,9 @@ def _graph(n, p, seed, fractional):
 
 def _exactness_battery():
     """30 seeded G(n,p) instances, n = 5..16 and m2 = 1..n/2 (m2 = 1 reaches
-    the all-tabu fallback), every other one with 3-decimal weights, then two
-    cases that stop early when the compared state leaves out the remaining
-    tenures (cut 4 instead of 3) or the gains D (the same set, with a cut
-    1e-12 higher)."""
+    the all-tabu fallback), every other one with 3-decimal weights, then a
+    case that stops early when the compared state leaves out the remaining
+    tenures (cut 4 instead of 3) and a 3-decimal case with a longer budget."""
     rng = np.random.default_rng(1980)
     for k in range(30):
         n = int(rng.integers(5, 17))
@@ -201,17 +205,16 @@ def _exactness_battery():
 
 def test_cycle_exit_returns_what_the_full_run_returns(monkeypatch):
     """A restart that ends on a repeated state returns the same cut and
-    part-1 set as one that runs until its patience is spent.
+    part-1 set as one that runs out its move budget.
 
-    Each field of the compared state is needed. ``side`` fixes the candidate
-    moves. The remaining tenures fix which of them are free: the same side,
-    gains and cut can recur with other tenures and still lead on to a better
-    cut. Under fractional weights the gains D drift from the exact gains of
-    ``side``, so the same side and cut can recur with other deltas. On
-    integer weights D and the cut are exact functions of ``side``.
+    Both fields of the compared state are needed. ``side`` fixes the gains,
+    the cut and so the candidate moves. The remaining tenures fix which of
+    them are free: the same side can recur with other tenures and still
+    lead on to a better cut.
 
-    Each restart's summed cut is compared too: ``tabu_search`` reports the
-    cut of its set, which hides a summed cut that differs by rounding.
+    Each restart's own cut is compared too: ``tabu_search`` reports
+    ``cut_value`` of its set, which hides a restart cut that differs from
+    it by rounding.
     """
     restarts = {"exit": [], "full": []}
 
@@ -226,16 +229,34 @@ def test_cycle_exit_returns_what_the_full_run_returns(monkeypatch):
     cases = list(_exactness_battery())
     monkeypatch.setattr("bisectsdp.heuristic._tabu_run", recording(_tabu_run, restarts["exit"]))
     got = [tabu_search(inst, cfg) for inst, cfg in cases]
-    # a patience equal to the move budget never ends a restart early
-    def reference(W, side, iters, tenure, global_best):
-        return _reference_tabu_run(W, side, iters, tenure, iters, global_best)
-
-    monkeypatch.setattr("bisectsdp.heuristic._tabu_run", recording(reference, restarts["full"]))
+    monkeypatch.setattr("bisectsdp.heuristic._tabu_run", recording(_reference_tabu_run, restarts["full"]))
     for k, ((inst, cfg), (a, c)) in enumerate(zip(cases, got)):
         ref_a, ref_c = tabu_search(inst, cfg)
         assert (c, a.part1_set()) == (ref_c, ref_a.part1_set()), k
         assert c == cut_value(inst.graph, a), k
     assert restarts["exit"] == restarts["full"]
+
+
+def test_fractional_restart_ends_on_a_repeated_state(monkeypatch):
+    """A restart on 3-decimal weights with a budget of 10^6 moves ends on a
+    repeated state within a few thousand moves. Moves are counted as the
+    move rule's ``argmin`` calls."""
+    moves = 0
+    argmin = np.argmin
+
+    def counting(*args, **kwargs):
+        nonlocal moves
+        moves += 1
+        if moves > 5000:
+            pytest.fail("the restart made more than 5000 moves")
+        return argmin(*args, **kwargs)
+
+    W = adjacency(_graph(20, 0.5, 7, True))
+    iters, tenure = TabuConfig(max_iters=10**6).resolve(20)
+    side = np.zeros(20, dtype=bool)
+    side[np.random.default_rng(0).choice(20, size=12, replace=False)] = True
+    monkeypatch.setattr(np, "argmin", counting)
+    _tabu_run(W, side, iters, tenure, np.inf)
 
 
 def test_tabu_default_results_are_pinned():

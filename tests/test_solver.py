@@ -178,28 +178,28 @@ def test_block_order_cap():
 
 
 _DIAG_AT_MOST_ONE = "".join(f"d{i} | {i},{i},1 | 1 | <=\n" for i in (1, 2, 3))
+_NO_EQUALITIES = "* block_order 3\nobjective | 1,1,-1 2,2,-1 3,3,-1 | 0 | min\n" + _DIAG_AT_MOST_ONE
 
 
 @pytest.mark.parametrize(
-    "text, status, value",
+    "text, hint, status, value",
     [
-        ("* block_order 2\nobjective | 1,1,1 2,2,1 | 0 | min\n", SolverStatus.OPTIMAL, 0.0),
-        (
-            "* block_order 3\nobjective | 1,1,-1 2,2,-1 3,3,-1 | 0 | min\n" + _DIAG_AT_MOST_ONE,
-            SolverStatus.OPTIMAL,
-            -3.0,
-        ),
-        ("* block_order 2\nobjective | 1,1,-1 | 0 | min\n", SolverStatus.NUMERICAL_TROUBLE, None),
+        ("* block_order 2\nobjective | 1,1,1 2,2,1 | 0 | min\n", None, SolverStatus.OPTIMAL, 0.0),
+        (_NO_EQUALITIES, None, SolverStatus.OPTIMAL, -3.0),
+        # the first pass, on no rows, is unbounded and violates no row
+        (_NO_EQUALITIES, [], SolverStatus.OPTIMAL, -3.0),
+        ("* block_order 2\nobjective | 1,1,-1 | 0 | min\n", None, SolverStatus.NUMERICAL_TROUBLE, None),
     ],
-    ids=["no-rows", "no-equalities", "no-rows-unbounded"],
+    ids=["no-rows", "no-equalities", "no-equalities-empty-hint", "no-rows-unbounded"],
 )
-def test_solves_without_rows_or_equalities(text, status, value):
+def test_solves_without_rows_or_equalities(text, hint, status, value):
     """A problem with no rows, or with inequalities only, solves without a
-    RuntimeWarning; an unbounded one ends on the embedding's certificate."""
+    RuntimeWarning, also from an empty hint; an unbounded one ends on the
+    embedding's certificate."""
     p = problem_from_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        sol = solve(p)
+        sol = solve(p, ineq_hint=hint)
     assert sol.status is status
     assert sol.dual_eq.shape == (0,)
     if value is None:
