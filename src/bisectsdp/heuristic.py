@@ -44,12 +44,14 @@ class TabuConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"tabu seed must be non-negative, got {self.seed}")
+        if self.restarts < 1:
+            raise ValueError(f"tabu restarts must be positive, got {self.restarts}")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError(f"tabu max_iters must be positive, got {self.max_iters}")
 
     def resolve(self, n: int) -> tuple[int, int]:
         """Move budget and tabu tenure round(0.1 n) clamped to [5, 50]."""
         iters = self.max_iters if self.max_iters is not None else 2000 * n
-        if iters <= 0 or self.restarts <= 0:
-            raise ValueError("tabu parameters must be positive")
         return iters, min(50, max(5, round(0.1 * n)))
 
 

@@ -23,7 +23,13 @@ in exact arithmetic.
 Rows are scaled to unit norm, and a solve stops when its largest scaled
 primal residual, its relative dual residual and its relative gap are all
 within tolerance. On a face a row's norm is that of its reduced row, which
-is at most its norm on the whole block.
+is at most its norm on the whole block. That stop test reads only the kept
+reduced rows, so the equalities that the presolve dropped as implied by
+them (the all-ones rows among them) can miss by about tol * k on a face of
+dimension k. A solve on a face therefore returns R moved onto its kept
+equalities by one least-squares step, R - sum_i c_i V^T K_i V with
+(A A^T) c = A(R) - b over those rows; the multipliers, and with them the
+safe bound, are unchanged.
 
 The iteration holds its iterate as one tuple (X, u, y, Z, q, tau, kappa):
 the primal block and slacks, the equality multipliers, the dual block, the
@@ -46,15 +52,13 @@ trusts the solver's state.
 Every solve is one sifting loop: it repeatedly solves with a working
 subset of inequalities and activates any whose violation over its norm on
 the whole block exceeds half the tolerance; a pass that ends short of
-OPTIMAL with no such row activates every row. A caller's hint, even an empty
-one, is the first working set; the cut loop passes one on every round, so
-its solves carry only the rows that bind. Without a hint, a list of at
-most 700 inequalities is the first working set whole, so the first pass
-finds nothing to activate and is the solve, and a longer list
-(elementwise nonnegativity families grow as O(n^2)) starts from no rows,
-which keeps the Schur complement small. Multipliers of never-activated
-rows are zero, so the returned solution satisfies the full problem's
-optimality contract.
+OPTIMAL with no such row activates every row. The first working set is the
+caller's hint, if one is given (the cut loop passes one on every round, so
+its solves carry only the rows that bind), and no rows otherwise, which
+keeps the Schur complement small: the elementwise nonnegativity families
+grow as O(n^2) and the triangle cuts as O(n^3), and few of them bind.
+Multipliers of never-activated rows are zero, so the returned solution
+satisfies the full problem's optimality contract.
 
 Each pass after the first starts its iteration from the pass before it,
 when that one ended OPTIMAL; the first pass starts from a caller's
@@ -64,7 +68,10 @@ previous point moved 1% of the way back to the cold start, the warm start
 of Skajaa, Andersen and Ye for the homogeneous embedding (Math. Prog.
 Comp., 2013); a row without a multiplier in it, such as a cut appended
 since, starts with slack and multiplier 0.01 or more. A warm-started pass
-that ends short of OPTIMAL is solved again cold.
+that ends short of OPTIMAL is solved again cold. SolverConfig.max_iters
+bounds the iterations of the whole solve, every pass and cold re-solve
+together; a solve that spends them with rows still to activate ends
+MAX_ITERS.
 
 Each working set's data is an equilibrated row slice of the problem's
 stacked operator; sifting and the safe bound apply that operator unscaled.
@@ -98,8 +105,6 @@ _DENSE_NNZ_FACTOR = 4
 _BLOCK_ORDER_CAP = 300
 # fraction of the distance to the cone boundary taken by each step
 _STEP_FRACTION = 0.98
-# without a hint, above this many inequalities the solver sifts a working set
-_SIFT_THRESHOLD = 700
 _SIFT_MAX_PASSES = 60
 # a warm start's weight on the previous solution; the rest goes to the cold
 # start (identity blocks, unit slacks and multipliers)
@@ -192,7 +197,8 @@ class _Data:
 
     With a face V (N x k) the variable is R of order k and M = V R V^T: row
     i is V^T K_i V, applied through the order-N operator, and norms are
-    those of the reduced rows.
+    those of the reduced rows. ``eq_gram`` then holds the kept scaled
+    equalities' Gram matrix, which ``onto_equalities`` solves with.
     """
 
     def __init__(self, p: ConicProblem, ineq_idx: np.ndarray):
@@ -234,6 +240,9 @@ class _Data:
         self.rhs = rhs[keep] * self.row_scale
         self.b = self.rhs[: self.me]
         self.h = self.rhs[self.me :]
+        if self.V is not None:
+            e, s = np.flatnonzero(keep[:me]), self.row_scale[: self.me]
+            self.eq_gram = gram[np.ix_(e, e)] * np.outer(s, s)
 
     def _set_rows(self, A, me: int) -> None:
         """Hold the operator rows A, the first me of them equalities, and
@@ -277,6 +286,13 @@ class _Data:
         """sum_i yfull_i K_i as a dense symmetric matrix."""
         K = (self.At @ yfull).reshape(self.N, self.N)
         return K if self.V is None else self.V.T @ K @ self.V
+
+    def onto_equalities(self, R: np.ndarray) -> np.ndarray:
+        """R - adjoint(c) with eq_gram c = A(R) - b on the kept equalities:
+        the nearest matrix to R in Frobenius norm that meets them (face
+        only)."""
+        c = np.linalg.solve(self.eq_gram, self.apply(R)[: self.me] - self.b)
+        return R - self.adjoint(np.concatenate([c, np.zeros(self.mi)]))
 
     def schur(self, W: np.ndarray, d_lp: np.ndarray) -> np.ndarray:
         """Schur complement: S[i,j] = <K_i, W K_j W>, plus diag(u/q) on slacks.
@@ -700,24 +716,28 @@ def solve(
 ) -> ConicSolution:
     """Solve a conic problem on a sifted working set of its inequalities.
 
-    A given ``ineq_hint``, even an empty one, is the first working set
-    (callers that solve a sequence of related problems pass the rows they
-    expect to bind); an index outside ``0..num_ineq-1`` is a ValueError.
-    Without a hint, a list of at most 700 inequalities is the first working
-    set whole, so its first pass finds nothing to activate and is the
-    solve, and a longer list starts from none.
+    The first working set is ``ineq_hint`` when one is given (callers that
+    solve a sequence of related problems pass the rows they expect to bind)
+    and no rows otherwise; an index outside ``0..num_ineq-1`` is a
+    ValueError. A pass that ends short of OPTIMAL and activates nothing
+    while rows remain outside its working set is solved again with every
+    row.
 
     The first pass starts from ``start``, a solution of ``p`` before rows
     were appended to it (its ``dual_ineq`` may be shorter than ``num_ineq``;
     the missing rows get multiplier 0), or cold without one. Each later pass
     starts from the pass before it when that one ended OPTIMAL, and cold
     otherwise. A warm-started pass that ends short of OPTIMAL is solved
-    again cold on the same working set. A ``start`` whose primal is not N x N, whose ``dual_eq`` does
-    not hold ``num_eq`` values or whose ``dual_ineq`` holds more than
-    ``num_ineq`` is a ValueError. A pass that ends short of OPTIMAL and
-    activates nothing while rows remain outside its working set is solved
-    again with every row. ``cfg.max_iters`` bounds each pass, and
-    ``iterations`` counts those of every pass.
+    again cold on the same working set. A ``start`` whose primal is not
+    N x N, whose ``dual_eq`` does not hold ``num_eq`` values or whose
+    ``dual_ineq`` holds more than ``num_ineq`` is a ValueError.
+    ``cfg.max_iters`` bounds the iterations of the whole solve, which
+    ``iterations`` counts: every pass and every cold re-solve. A solve that
+    spends them before its working set settles ends MAX_ITERS.
+
+    On a face, the returned matrix is the last pass's moved onto the kept
+    equalities (see ``_Data.onto_equalities``) and ``objective_primal`` is
+    its objective; the multipliers are the pass's.
 
     Returns the best iterate found together with the objective values and
     the (primal infeasibility, dual infeasibility, relative gap) triple.
@@ -741,33 +761,34 @@ def solve(
     # norm exceeds half the tolerance that the working rows meet;
     # the most violated rows join first
     norm = _row_norms(p.operator()[p.num_eq :])
-    if ineq_hint is not None:
-        working = np.unique(np.asarray(ineq_hint, dtype=int))
-        bad = working[(working < 0) | (working >= mi)]
-        if len(bad):
-            raise ValueError(f"ineq_hint holds rows outside 0..{mi - 1}: {bad.tolist()}")
-    elif mi <= _SIFT_THRESHOLD:
-        working = np.arange(mi)
-    else:
-        working = np.empty(0, dtype=int)
+    working = np.unique(np.asarray([] if ineq_hint is None else ineq_hint, dtype=int))
+    bad = working[(working < 0) | (working >= mi)]
+    if len(bad):
+        raise ValueError(f"ineq_hint holds rows outside 0..{mi - 1}: {bad.tolist()}")
     batch = max(4 * p.block_order, 400)
     iterations = 0
     for _ in range(_SIFT_MAX_PASSES):
-        # solve on the working set, then scatter its duals to all rows and
-        # lift its primal off the face
+        if iterations == cfg.max_iters:
+            break
+        # solve on the working set within what is left of the budget, then
+        # scatter its duals to all rows and lift its primal off the face
         data = _Data(p, working)
-        sol = _ipm(data, cfg, start)
-        if start is not None and sol.status is not SolverStatus.OPTIMAL:
+        sol = _ipm(data, replace(cfg, max_iters=cfg.max_iters - iterations), start)
+        iterations += sol.iterations
+        left = cfg.max_iters - iterations
+        if start is not None and sol.status is not SolverStatus.OPTIMAL and left:
             # a warm start next to a degenerate optimum can stall where a
             # cold one does not (tests/test_cuts.py pins such a round)
+            sol = _ipm(data, replace(cfg, max_iters=left))
             iterations += sol.iterations
-            sol = _ipm(data, cfg)
-        iterations += sol.iterations
         sol.iterations = iterations
         dual_eq, dual_ineq = np.zeros(p.num_eq), np.zeros(mi)
         dual_eq[data.eq_idx] = sol.dual_eq
         dual_ineq[data.ineq_idx] = sol.dual_ineq
         sol.dual_eq, sol.dual_ineq = dual_eq, dual_ineq
+        if data.V is not None:
+            sol.primal = data.onto_equalities(sol.primal)
+            sol.objective_primal = float(np.vdot(data.C, sol.primal)) + data.c0
         sol.primal = data.lift(sol.primal)
         viol = p.ineq_violations(sol.primal)
         cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol * norm), working)

@@ -65,6 +65,9 @@ CELLS = [
     ("gnp8", (8, 0.5, 3), 5, 3),
     ("m2=1", (10, 0.7, 11), 9, 1),
     ("m2=2", (11, 0.3, 5), 9, 2),
+    # without the move onto the kept equalities its j-trace-1 row missed
+    # project_wz_to_new's 1e-6 check by 1.1e-6
+    ("j-trace-1", (14, 0.3, 424930), 13, 1),
 ]
 
 
@@ -80,6 +83,8 @@ def test_face_solve_passes_the_maps(solved_cell):
     inst, _, sol, _, _ = solved_cell
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.primal.shape == (2 * inst.n + 1,) * 2
+    # the equalities that the presolve drops hold too, not only the kept ones
+    assert np.abs(build_wz(inst).eq_residuals(sol.primal)).max() <= 1e-10
     project_wz_to_new(sol.primal, inst)
     rep = check_linking_identities(sol.primal, inst.m1, inst.m2)
     assert rep.passed, rep.family_residuals

@@ -94,9 +94,11 @@ def test_tabu_matches_optimum_on_star(star31):
 
 
 @pytest.mark.parametrize("cfg", [dict(restarts=0), dict(max_iters=0)])
-def test_tabu_rejects_nonpositive_settings(gnp8, cfg):
-    with pytest.raises(ValueError, match="positive"):
-        tabu_search(gnp8, TabuConfig(**cfg))
+def test_tabu_rejects_nonpositive_settings(cfg):
+    # refused when the config is built, not when a search first reads it
+    (field,) = cfg
+    with pytest.raises(ValueError, match=f"tabu {field} must be positive, got 0"):
+        TabuConfig(**cfg)
 
 
 def test_tabu_rejects_a_negative_seed():

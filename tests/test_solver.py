@@ -297,7 +297,7 @@ def test_bound_never_decreases_when_cut_appended(gnp8):
 def test_sifting_handles_large_inequality_sets():
     inst = BisectionInstance(gen_gnp(30, 0.3, 21), 18, 12)
     p = build_new(inst, with_nonneg=True)
-    assert p.num_ineq > 700  # exercises the working-set path
+    assert p.num_ineq > 700  # far more rows than bind
     sol = solve(p, SolverConfig())
     assert sol.status is SolverStatus.OPTIMAL
     viol = p.ineq_violations(sol.primal)
@@ -306,9 +306,9 @@ def test_sifting_handles_large_inequality_sets():
     assert len(sol.dual_ineq) == p.num_ineq
 
 
-def test_empty_hint_sifts_a_model_under_the_threshold(monkeypatch):
+def test_hintless_solve_starts_from_no_rows(monkeypatch):
     p = build_new(BisectionInstance(generate("pappus"), 10, 8), with_nonneg=True)
-    assert 600 <= p.num_ineq <= 700
+    assert p.num_ineq == 648
     ipm, seen = bisectsdp.solver._ipm, []  # each pass's inequality working set
 
     def recording_ipm(data, cfg, start=None):
@@ -316,16 +316,15 @@ def test_empty_hint_sifts_a_model_under_the_threshold(monkeypatch):
         return ipm(data, cfg, start)
 
     monkeypatch.setattr(bisectsdp.solver, "_ipm", recording_ipm)
-    whole = solve(p)
-    assert [len(w) for w in seen] == [p.num_ineq]
-    seen.clear()
-    sifted = solve(p, ineq_hint=[])
-    assert len(seen[0]) == 0
-    assert sifted.status is SolverStatus.OPTIMAL
-    assert sifted.objective_primal == pytest.approx(whole.objective_primal, rel=1e-6)
-    assert safe_lower_bound(p, sifted).value == pytest.approx(
-        safe_lower_bound(p, whole).value, rel=1e-6
-    )
+    hintless = solve(p)
+    passes, seen[:] = seen[:], []
+    empty = solve(p, ineq_hint=[])
+    assert len(passes[0]) == 0
+    assert all(np.array_equal(a, b) for a, b in zip(passes, seen, strict=True))
+    assert hintless.status is SolverStatus.OPTIMAL
+    assert hintless.iterations == empty.iterations
+    for field in ("primal", "dual_eq", "dual_ineq"):
+        assert np.array_equal(getattr(hintless, field), getattr(empty, field))
 
 
 def test_hint_outside_the_rows_is_refused(gnp8):
@@ -345,7 +344,7 @@ def test_hint_outside_the_rows_is_refused(gnp8):
 )
 def test_warm_start_resolves_in_fewer_iterations(build, inst):
     p = build(inst)
-    assert p.num_ineq > 700  # both solves sift
+    assert p.num_ineq > 700  # far more rows than bind
     cold = solve(p)
     # the rows that bind, as the cut loop passes them, with and without the start
     hint = np.flatnonzero(cold.dual_ineq > 1e-12)
@@ -385,6 +384,24 @@ def test_iterations_count_every_sifting_pass(monkeypatch):
     sol = solve(p)
     assert len(counts) > 1
     assert sol.iterations == sum(counts)
+
+
+def test_budget_spent_before_sifting_settles_is_max_iters(gnp8, monkeypatch):
+    p = build_new(gnp8, with_nonneg=True)
+    ipm, passes = bisectsdp.solver._ipm, []
+
+    def recording_ipm(data, cfg, start=None):
+        passes.append(ipm(data, cfg, start))
+        return passes[-1]
+
+    monkeypatch.setattr(bisectsdp.solver, "_ipm", recording_ipm)
+    solve(p)
+    # the first pass, on no rows, ends OPTIMAL with rows left to activate
+    first = passes[0]
+    assert first.status is SolverStatus.OPTIMAL and len(passes) > 1
+    sol = solve(p, SolverConfig(max_iters=first.iterations))
+    assert sol.status is SolverStatus.MAX_ITERS
+    assert sol.iterations == first.iterations
 
 
 def test_wz_solves_close_to_new(gnp8):
