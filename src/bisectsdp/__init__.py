@@ -41,7 +41,7 @@ from .solver import (
     safe_lower_bound,
     solve,
 )
-from .cuts import Cut, LoopConfig, append_cuts, cutting_plane_loop, separate
+from .cuts import Cut, CutType, LoopConfig, append_cuts, cutting_plane_loop, separate
 from .equivalence import (
     FeasibilityReport,
     check_bordered_psd_equivalence,

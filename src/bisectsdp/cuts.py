@@ -11,24 +11,53 @@ this package targets) and returns the most violated cuts in a deterministic
 order. The loop re-solves after each batch and certifies every round with
 the safe dual bound, so the reported value never depends on the solver
 having converged.
+
+On a graph with a coherent closure (see ``algebra``) the loop solves the
+reduced model and separates cuts by type: a ``CutType`` is every cut of one
+kind whose pairs lie in the same cells, up to the cut's own symmetry, and
+its row is the sum of its members' rows, which lies in the closure's
+algebra.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import BisectionInstance
+from .algebra import coherent_closure, reduce_problem, symmetric_cells
+from .graphs import BisectionInstance, adjacency
 from .model import ConicProblem, RelaxationKind, build_new
 from .report import BoundReport, RoundTrace, ceil_bound
 from .solver import SolverConfig, safe_lower_bound, solve
 
-__all__ = ["Cut", "LoopConfig", "triangles", "separate", "append_cuts", "cutting_plane_loop"]
+__all__ = ["Cut", "CutType", "LoopConfig", "triangles", "separate", "append_cuts", "cutting_plane_loop"]
 
 TRI_A = "tri-a"
 TRI_B = "tri-b"
+
+# per kind, the entries of a cut on (i, j, k): positions in the triple and values
+_TERMS = {
+    # X_ik + X_jk - X_kk - X_ij
+    TRI_A: (((0, 2), (1, 2), (2, 2), (0, 1)), (0.5, 0.5, -1.0, -0.5)),
+    # x_i + x_j + x_k - X_ij - X_ik - X_jk
+    TRI_B: (((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)), (1.0, 1.0, 1.0, -0.5, -0.5, -0.5)),
+}
+# per kind, the orders of (i, j, k) that give the same cut
+_SYMMETRY = {
+    TRI_A: ((0, 1, 2), (1, 0, 2)),
+    TRI_B: ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)),
+}
+
+
+def _entries(kind: str, triples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle entries (r, c, v) of the cuts of one kind on the rows
+    (i, j, k) of ``triples``, one row of entries per triple."""
+    pos, v = _TERMS[kind]
+    a, b = (triples[:, list(t)] for t in zip(*pos))
+    return np.minimum(a, b), np.maximum(a, b), np.broadcast_to(v, a.shape)
 
 
 @dataclass(frozen=True)
@@ -53,14 +82,8 @@ class Cut:
 
     def entries(self) -> tuple[list[int], list[int], list[float]]:
         """Upper-triangle entries (r, c, v) of the cut row: 4 for tri-a, 6 for tri-b."""
-        i, j, k = self.i, self.j, self.k
-        if self.kind == TRI_A:
-            # X_ik + X_jk - X_kk - X_ij
-            r, c, v = (i, j, k, i), (k, k, k, j), [0.5, 0.5, -1.0, -0.5]
-        else:
-            # x_i + x_j + x_k - X_ij - X_ik - X_jk
-            r, c, v = (i, j, k, i, i, j), (i, j, k, j, k, k), [1.0, 1.0, 1.0, -0.5, -0.5, -0.5]
-        return list(map(min, r, c)), list(map(max, r, c)), v
+        r, c, v = _entries(self.kind, np.array([[self.i, self.j, self.k]]))
+        return r[0].tolist(), c[0].tolist(), v[0].tolist()
 
     def rhs(self) -> float:
         return 0.0 if self.kind == TRI_A else 1.0
@@ -75,6 +98,37 @@ class Cut:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class CutType:
+    """The cuts of one kind whose pairs lie in the same cells, as one row.
+
+    ``cells`` is the smallest (c(i,j), c(i,k), c(j,k)) over the orders of
+    (i, j, k) that give the same cut, where c is the closure's cell index.
+    ``members`` holds each member's (i, j, k) in the order a ``Cut`` takes,
+    and ``violation`` is the mean of their violations. The row is the sum
+    of the members' rows.
+    """
+
+    kind: str
+    cells: tuple[int, int, int]
+    members: np.ndarray
+    violation: float = 0.0
+
+    def label(self) -> str:
+        return f"bqp-type({self.kind},{','.join(map(str, self.cells))})"
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Upper-triangle entries (r, c, v) of the sum of the members' rows."""
+        r, c, v = (a.ravel() for a in _entries(self.kind, self.members))
+        size = int(c.max()) + 1
+        flat, at = np.unique(r * size + c, return_inverse=True)
+        r, c = np.divmod(flat, size)
+        return r, c, np.bincount(at.ravel(), weights=v)
+
+    def rhs(self) -> float:
+        return float(len(self.members)) * (0.0 if self.kind == TRI_A else 1.0)
+
+
 def triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the tri-a and tri-b triples over the (i, j, k) grid of order n.
 
@@ -86,12 +140,18 @@ def triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pair & (k != i) & (k != j), pair & (j < k)
 
 
-def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
+def separate(
+    X: np.ndarray, limit: int | None, eps: float = 1e-6, cells: np.ndarray | None = None
+) -> list[Cut] | list[CutType]:
     """All triangle cuts violated at X by more than eps, strongest first.
 
     Ordering is violation descending, then (kind, i, j, k) lexicographic,
     which makes the cutting-plane loop deterministic. ``limit=None`` returns
     every violated cut; a negative limit is a ValueError.
+
+    With the cell index ``cells`` of a coherent closure, it returns the cut
+    types whose mean violation exceeds eps instead, ordered by mean
+    violation descending, then (kind, cells).
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be None or nonnegative, got {limit}")
@@ -109,6 +169,8 @@ def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
         - X[None, :, :]
         - 1.0
     )
+    if cells is not None:
+        return _separate_types(cells, triangles(n), (va, vb), limit, eps)
     hit_a, hit_b = (np.nonzero(mask & (v > eps)) for mask, v in zip(triangles(n), (va, vb)))
     kind = np.repeat([0, 1], [len(hit_a[0]), len(hit_b[0])])
     i_all, j_all, k_all = map(np.concatenate, zip(hit_a, hit_b))
@@ -121,25 +183,47 @@ def separate(X: np.ndarray, limit: int | None, eps: float = 1e-6) -> list[Cut]:
     ]
 
 
-def append_cuts(p: ConicProblem, cuts: list[Cut]) -> int:
+def _separate_types(cells, masks, violations, limit, eps) -> list[CutType]:
+    """The cut types of ``separate`` with a closure's cell index."""
+    n, count = len(cells), int(cells.max()) + 1
+    grid = np.ogrid[:n, :n, :n]
+    found = []
+    for kind, mask, v in zip((TRI_A, TRI_B), masks, violations):
+        # each triple's type: the least code of its cells over the cut's symmetry
+        code = functools.reduce(np.minimum, (
+            (cells[grid[a], grid[b]] * count + cells[grid[a], grid[c]]) * count + cells[grid[b], grid[c]]
+            for a, b, c in _SYMMETRY[kind]
+        ))
+        types, at, size = np.unique(code[mask], return_inverse=True, return_counts=True)
+        mean = np.bincount(at, weights=v[mask]) / size
+        for t in np.flatnonzero(mean > eps):
+            a, rest = divmod(int(types[t]), count * count)
+            members = np.argwhere(mask & (code == types[t]))
+            found.append(CutType(kind, (a, *divmod(rest, count)), members, float(mean[t])))
+    found.sort(key=lambda ct: (-ct.violation, ct.kind, ct.cells))
+    return found[:limit]
+
+
+def append_cuts(p: ConicProblem, cuts: list[Cut] | list[CutType]) -> int:
     """Append cut rows to an order-n relaxation in place, as one batch.
 
-    Cuts whose row is already in the problem, or earlier in the list, are
-    skipped: the problem's row labels are the only record of which cuts it
-    holds. Returns the number of rows appended.
+    Cuts (or cut types) whose row is already in the problem, or earlier in
+    the list, are skipped: the problem's row labels are the only record of
+    which cuts it holds. Returns the number of rows appended.
     """
     if p.kind not in (RelaxationKind.NEW, RelaxationKind.NEW_BARE):
         raise ValueError("cuts apply to the order-n relaxation only")
     n = p.block_order
-    fresh: dict[str, Cut] = {}
+    fresh: dict[str, Cut | CutType] = {}
     for c in cuts:
-        if not (0 <= c.i < n and 0 <= c.j < n and 0 <= c.k < n):
-            raise IndexError(f"cut indices {c.key()} out of range for n={n}")
         if not p.has_label(c.label()):
             fresh.setdefault(c.label(), c)
     new = list(fresh.values())
     if new:
         rs, cs, vs = zip(*(c.entries() for c in new))
+        for c, r, col in zip(new, rs, cs):
+            if np.min(r) < 0 or np.max(col) >= n:
+                raise IndexError(f"cut {c.label()} out of range for n={n}")
         rhs = [c.rhs() for c in new]
         p.add_inequalities(
             np.concatenate(rs), np.concatenate(cs), np.concatenate(vs), rhs, list(fresh),
@@ -191,11 +275,21 @@ def cutting_plane_loop(
     round records the rows appended before it and since round 0, and the
     IPM iterations of its solve. The certified bound is the max of the
     per-round safe bounds, so it is valid even if the last solve was poor.
+
+    When the weighted adjacency has a coherent closure (see
+    ``algebra.coherent_closure``), the loop solves the model reduced on it
+    (``algebra.reduce_problem``) and separates cut types, at most
+    ``cuts_per_round`` of them per round; the report records the closure's
+    number of symmetric cells. Otherwise the model and the cuts are the
+    full ones.
     """
     cfg = cfg or LoopConfig()
     n = inst.n
     per_round = cfg.cuts_per_round if cfg.cuts_per_round is not None else 2 * n
+    cells = coherent_closure(adjacency(inst.graph))
     p = build_new(inst, with_nonneg=True)
+    if cells is not None:
+        p = reduce_problem(p, cells)
 
     report = BoundReport(
         instance=inst.name,
@@ -211,6 +305,7 @@ def cutting_plane_loop(
             "stall_tol": cfg.stall_tol,
             "solver_tol": cfg.solver.tol,
         },
+        closure_cells=None if cells is None else len(np.unique(symmetric_cells(cells))),
     )
     t_start = time.perf_counter()
     certified = -np.inf
@@ -250,7 +345,7 @@ def cutting_plane_loop(
                 break
         else:
             stalled_rounds = 0
-        added = append_cuts(p, separate(sol.primal, limit=per_round, eps=cfg.eps))
+        added = append_cuts(p, separate(sol.primal, limit=per_round, eps=cfg.eps, cells=cells))
         if not added:
             break
         total += added

@@ -57,6 +57,9 @@ class BoundReport:
     values: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     total_wall_time: float = 0.0
+    # symmetric cells of the coherent closure the cut loop reduced on; None
+    # when it ran the full model, and in reports written before this field
+    closure_cells: int | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)

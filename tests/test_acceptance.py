@@ -74,10 +74,6 @@ def test_criterion1_table_rows(spec, m1, m2, expect_round0, expect_final):
     )
 
 
-@pytest.mark.skipif(
-    not os.environ.get("RUN_SOFT_ACCEPTANCE"),
-    reason="soft stretch target; set RUN_SOFT_ACCEPTANCE=1 to run (~6 min)",
-)
 def test_criterion1_biggs_smith_soft():
     inst = BisectionInstance(generate("biggs-smith"), 70, 32, name="biggs-smith")
     t0 = time.perf_counter()

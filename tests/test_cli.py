@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import bisectsdp.cuts
 from bisectsdp import BisectionInstance, LoopConfig, cutting_plane_loop, generate
 from bisectsdp.cli import main
 from bisectsdp.report import BoundReport, csv_header
@@ -65,17 +66,27 @@ def test_solve_with_cuts_csv_matches_published_row(capsys):
     assert out.strip().splitlines()[1] == "desargues,20,15,5,,5,6,7"
 
 
-def test_cut_loop_stops_once_the_upper_bound_is_proven(capsys):
+def test_cut_loop_stops_once_the_upper_bound_is_proven(capsys, monkeypatch):
+    separate, calls = bisectsdp.cuts.separate, []
+
+    def counting_separate(*args, **kwargs):
+        calls.append(args)
+        return separate(*args, **kwargs)
+
+    monkeypatch.setattr(bisectsdp.cuts, "separate", counting_separate)
     code, out, _ = run(
         capsys, "solve", "--generate", "johnson:7,2", "--m", "11,10", "--cuts", "--ub", "tabu",
     )
     assert code == 0
     rep = BoundReport.from_json(out)
     assert rep.upper_bound == 40 and rep.ceiled_lower_bound == 40
-    assert [t.round for t in rep.rounds] == [0, 1, 2, 3]
-    # without the upper bound the loop cannot tell that 40 is optimal
+    # round 1 proves 40, so the loop stops without separating on its solution
+    assert [t.round for t in rep.rounds] == [0, 1] and len(calls) == 1
+    # without the upper bound the loop cannot tell that 40 is optimal: it
+    # separates again and stops only because no cut type is violated
+    calls.clear()
     inst = BisectionInstance(generate("johnson:7,2"), 11, 10)
-    assert len(cutting_plane_loop(inst, LoopConfig()).rounds) == 6
+    assert len(cutting_plane_loop(inst, LoopConfig()).rounds) == 2 and len(calls) == 2
 
 
 def test_report_json_round_trip(capsys):
@@ -92,6 +103,19 @@ def test_report_without_round_iterations_loads(capsys):
     assert d["rounds"][0]["iterations"] > 0
     del d["rounds"][0]["iterations"]  # written before rounds counted iterations
     assert BoundReport.from_dict(d).rounds[0].iterations == 0
+
+
+def test_report_records_the_closure_it_reduced_on(capsys):
+    code, out, _ = run(capsys, "solve", "--generate", "pappus", "--m", "10,8", "--cuts")
+    assert code == 0
+    assert json.loads(out)["closure_cells"] == 5
+    # a random graph's closure is discrete: the loop runs the full model
+    code, out, _ = run(capsys, "solve", "--generate", "gnp:12,0.5,3", "--m", "7,5", "--cuts")
+    assert code == 0
+    d = json.loads(out)
+    assert "closure_cells" in d and d["closure_cells"] is None
+    del d["closure_cells"]  # written before reports recorded the closure
+    assert BoundReport.from_dict(d).closure_cells is None
 
 
 def test_missing_instance_file_fails(capsys):
