@@ -75,15 +75,33 @@ MAX_ITERS.
 
 Each working set's data is an equilibrated row slice of the problem's
 stacked operator; sifting and the safe bound apply that operator unscaled.
+
+The iteration's small dense kernels call LAPACK directly: the Schur
+complement's Cholesky factor and solves (potrf, potrs), the step length's
+triangular solves and smallest eigenvalue (trtrs, syevr), the SVD of the
+Nesterov-Todd scaling (gesdd), its inverse factor (trtrs) and the
+centrality corrector's eigendecomposition (syevr). At the orders most
+solves run at, scipy.linalg's checks and batch dispatch cost more than the
+LAPACK work under them. Each kernel runs the routine that scipy.linalg
+would run, with the same arguments and the same queried workspace, so
+every solve is bit-identical to one through scipy.linalg, failures
+included: a positive LAPACK info raises LinAlgError. The numpy.linalg
+calls (the Cholesky factors of X and Z, the small solves and the norms)
+stay as they are, since numpy links its own BLAS and LAPACK and moving
+them would change their rounding. The certificate's smallest eigenvalue
+and the presolve's QR run once per solve and stay on scipy.linalg, the
+former with its finiteness check.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .model import ConicProblem, upper_entries
 
@@ -399,15 +417,89 @@ def _presolve(rhs, label, norm, full_norm, eq_gram) -> np.ndarray:
     return keep
 
 
-def _factor_schur(S: np.ndarray):
+# ---------------------------------------------------------------------------
+# the iteration's dense kernels, called straight through LAPACK
+# ---------------------------------------------------------------------------
+
+# the routines scipy.linalg resolves for float64 arrays; its svd prefers an
+# ILP64 build of gesdd where scipy has one
+_potrf, _potrs, _trtrs, _syevr, _syevr_lwork = get_lapack_funcs(
+    ("potrf", "potrs", "trtrs", "syevr", "syevr_lwork"), dtype=np.float64
+)
+_gesdd, _gesdd_lwork = get_lapack_funcs(
+    ("gesdd", "gesdd_lwork"), dtype=np.float64, ilp64="preferred"
+)
+
+
+def _lapack(routine, *args, **kwargs):
+    """Outputs of a LAPACK wrapper without its trailing info. A failure
+    (info > 0) raises LinAlgError, as scipy.linalg does, and an illegal
+    argument (info < 0) ValueError."""
+    *out, info = routine(*args, **kwargs)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out
+
+
+# one entry per block order the iteration can meet
+@functools.lru_cache(maxsize=_BLOCK_ORDER_CAP + 1)
+def _workspace(n: int) -> tuple[int, int, int]:
+    """syevr's (lwork, liwork) and gesdd's lwork at order n, from the same
+    queries scipy.linalg makes; the workspace sets LAPACK's blocking, and
+    with it the rounding."""
+    lwork, liwork = _lapack(_syevr_lwork, n, lower=1)
+    (svd_lwork,) = _lapack(_gesdd_lwork, n, n, compute_uv=1, full_matrices=1)
+    return int(lwork), int(liwork), int(svd_lwork)
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sla.cho_solve((c, True), b) for a lower factor c."""
+    if b.size == 0:
+        # a problem with no rows; f2py refuses the empty operands
+        return np.empty_like(b)
+    return _lapack(_potrs, c, b, lower=1)[0]
+
+
+def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """sla.solve_triangular(a, b, lower=lower): trtrs takes a C-ordered
+    factor as its transpose, as scipy's does."""
+    if a.flags.f_contiguous:
+        return _lapack(_trtrs, a, b, lower=lower, trans=0)[0]
+    return _lapack(_trtrs, a.T, b, lower=not lower, trans=1)[0]
+
+
+def _min_eigvalsh(A: np.ndarray) -> float:
+    """sla.eigvalsh(A, subset_by_index=[0, 0])[0]."""
+    lwork, liwork, _ = _workspace(len(A))
+    w = _lapack(_syevr, A, compute_v=0, range="I", lower=1, il=1, iu=1,
+                lwork=lwork, liwork=liwork)[0]
+    return w[0]
+
+
+def _eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sla.eigh(A): eigenvalues ascending and their eigenvectors."""
+    lwork, liwork, _ = _workspace(len(A))
+    w, v, _, _ = _lapack(_syevr, A, compute_v=1, lower=1, lwork=lwork, liwork=liwork)
+    return w, v
+
+
+def _svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sla.svd(A) of a square A: U, the singular values and V^T."""
+    return tuple(_lapack(_gesdd, A, compute_uv=1, full_matrices=1, lwork=_workspace(len(A))[2]))
+
+
+def _factor_schur(S: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of S, upper part not cleaned, as
+    sla.cho_factor(S, lower=True)[0]; S is shifted by an escalating multiple
+    of its mean diagonal until the factor exists."""
     # a problem with no rows has an empty S, which needs no scale
     scale = max(float(np.mean(np.diag(S))), 1e-30) if len(S) else 1.0
     jitter = 0.0
     while True:
         try:
-            return sla.cho_factor(
-                S + jitter * scale * np.eye(len(S)), lower=True, check_finite=False
-            )
+            return _lapack(_potrf, S + jitter * scale * np.eye(len(S)), lower=1, clean=0)[0]
         except np.linalg.LinAlgError:
             jitter = 1e-13 if jitter == 0.0 else jitter * 100.0
             if jitter > 1e-3:
@@ -416,9 +508,9 @@ def _factor_schur(S: np.ndarray):
 
 def _max_step_psd(L: np.ndarray, dM: np.ndarray) -> float:
     """Largest alpha with M + alpha*dM PSD, M = L L^T."""
-    Y = sla.solve_triangular(L, dM, lower=True, check_finite=False)
-    Y = sla.solve_triangular(L, Y.T, lower=True, check_finite=False)
-    lam = sla.eigvalsh(0.5 * (Y + Y.T), subset_by_index=[0, 0], check_finite=False)[0]
+    Y = _solve_triangular(L, dM, lower=True)
+    Y = _solve_triangular(L, Y.T, lower=True)
+    lam = _min_eigvalsh(0.5 * (Y + Y.T))
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -541,7 +633,7 @@ def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> 
         try:
             Lx = np.linalg.cholesky(X)
             Lz = np.linalg.cholesky(Z)
-            _, sv, Vtv = sla.svd(Lz.T @ Lx, check_finite=False)
+            _, sv, Vtv = _svd(Lz.T @ Lx)
             sv = np.maximum(sv, 1e-150)
             G = Lx @ Vtv.T / np.sqrt(sv)
             W = G @ G.T
@@ -554,10 +646,10 @@ def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> 
             break
 
         def schur_solve(rhs: np.ndarray) -> np.ndarray:
-            x = sla.cho_solve(Sf, rhs, check_finite=False)
+            x = _cho_solve(Sf, rhs)
             # one refinement pass recovers digits lost to the ill-conditioned
             # scaling near a degenerate face
-            x += sla.cho_solve(Sf, rhs - S @ x, check_finite=False)
+            x += _cho_solve(Sf, rhs - S @ x)
             return x
 
         WCW = W @ Cm @ W
@@ -628,7 +720,7 @@ def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> 
         mu_aff = mu_of(toward(aff, a_aff))
         sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
-        Ginv = sla.solve_triangular(Lx.T, Vtv.T * np.sqrt(sv), lower=False, check_finite=False).T
+        Ginv = _solve_triangular(Lx.T, Vtv.T * np.sqrt(sv), lower=False).T
         denom = 0.5 * (sv[:, None] + sv[None, :])
 
         def scaled(d):
@@ -671,7 +763,7 @@ def _ipm(data: _Data, cfg: SolverConfig, start: ConicSolution | None = None) -> 
             p_lp, p_tk = u_t * q_t, tau_t * kappa_t
             mu_t = (float(np.trace(P)) + float(p_lp.sum()) + p_tk) / (n + mi + 1)
             lo, hi = 0.1 * mu_t, 10.0 * mu_t
-            lam_p, Qp = sla.eigh(P, check_finite=False)
+            lam_p, Qp = _eigh(P)
             lam_c = np.clip(lam_p, lo, hi)
             if np.allclose(lam_c, lam_p) and np.all((p_lp >= lo) & (p_lp <= hi)) and lo <= p_tk <= hi:
                 break
