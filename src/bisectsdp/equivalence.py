@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import TRI_A, TRI_B, Cut, triangles
+from .cuts import TRI_A, TRI_B, _entries, triangles
 from .graphs import BisectionInstance
-from .model import ConicProblem, RelaxationKind, add_pair_facets, build_new, build_wz
+from .model import ConicProblem, RelaxationKind, _labels, add_pair_facets, build_new, build_wz
 from .solver import min_eigenvalue
 
 __all__ = [
@@ -192,7 +192,7 @@ def add_lifted_facets(p: ConicProblem) -> None:
     # +1 offset for the border row/column
     add_pair_facets(p, N2, "lift-ub", "lift-pair", offset=1)
     for kind, mask in zip((TRI_A, TRI_B), triangles(N2)):
-        cuts = [Cut(kind, *t) for t in np.argwhere(mask).tolist()]
-        r, c, v = (np.concatenate(a) for a in zip(*(cut.entries() for cut in cuts)))
-        labels = [f"lift-{kind}({cut.i},{cut.j},{cut.k})" for cut in cuts]
-        p.add_inequalities(r + 1, c + 1, v, [cut.rhs() for cut in cuts], labels)
+        t = np.argwhere(mask)
+        r, c, v = _entries(kind, t)
+        rhs = 0.0 if kind == TRI_A else 1.0
+        p.add_inequalities(r + 1, c + 1, v, rhs, _labels(f"lift-{kind}", *t.T))

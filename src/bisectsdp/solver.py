@@ -23,13 +23,15 @@ in exact arithmetic.
 Rows are scaled to unit norm, and a solve stops when its largest scaled
 primal residual, its relative dual residual and its relative gap are all
 within tolerance. On a face a row's norm is that of its reduced row, which
-is at most its norm on the whole block. That stop test reads only the kept
-reduced rows, so the equalities that the presolve dropped as implied by
-them (the all-ones rows among them) can miss by about tol * k on a face of
-dimension k. A solve on a face therefore returns R moved onto its kept
-equalities by one least-squares step, R - sum_i c_i V^T K_i V with
-(A A^T) c = A(R) - b over those rows; the multipliers, and with them the
-safe bound, are unchanged.
+is at most its norm on the whole block. That stop test bounds each kept
+row only relative to its unit-norm scaling, so a row with a large
+right-hand side (the order-n model's j-trace row) or one the presolve
+dropped as implied by the kept ones (the all-ones rows on a face) can miss
+by about tol * n. Every solve therefore returns its matrix moved onto its
+kept equalities by one least-squares step, R - sum_i c_i K_i with
+(A A^T) c = A(R) - b over those rows (V^T K_i V and the reduced rows' Gram
+on a face), and the objective of that matrix; the multipliers, and with
+them the safe bound, are unchanged.
 
 The iteration holds its iterate as one tuple (X, u, y, Z, q, tau, kappa):
 the primal block and slacks, the equality multipliers, the dual block, the
@@ -67,10 +69,9 @@ round's solution to the next), and cold otherwise. A warm start is the
 previous point moved 1% of the way back to the cold start, the warm start
 of Skajaa, Andersen and Ye for the homogeneous embedding (Math. Prog.
 Comp., 2013); a row without a multiplier in it, such as a cut appended
-since, starts with slack and multiplier 0.01 or more. A warm-started pass
-that ends short of OPTIMAL is solved again cold. SolverConfig.max_iters
-bounds the iterations of the whole solve, every pass and cold re-solve
-together; a solve that spends them with rows still to activate ends
+since, starts with slack and multiplier 0.01 or more.
+SolverConfig.max_iters bounds the iterations of the whole solve, all its
+passes together; a solve that spends them with rows still to activate ends
 MAX_ITERS.
 
 Each working set's data is an equilibrated row slice of the problem's
@@ -123,7 +124,6 @@ _DENSE_NNZ_FACTOR = 4
 _BLOCK_ORDER_CAP = 300
 # fraction of the distance to the cone boundary taken by each step
 _STEP_FRACTION = 0.98
-_SIFT_MAX_PASSES = 60
 # a warm start's weight on the previous solution; the rest goes to the cold
 # start (identity blocks, unit slacks and multipliers)
 _WARM_WEIGHT = 0.99
@@ -215,8 +215,9 @@ class _Data:
 
     With a face V (N x k) the variable is R of order k and M = V R V^T: row
     i is V^T K_i V, applied through the order-N operator, and norms are
-    those of the reduced rows. ``eq_gram`` then holds the kept scaled
-    equalities' Gram matrix, which ``onto_equalities`` solves with.
+    those of the reduced rows. ``eq_gram`` holds the kept scaled
+    equalities' Gram matrix (of the reduced rows on a face), which
+    ``onto_equalities`` solves with.
     """
 
     def __init__(self, p: ConicProblem, ineq_idx: np.ndarray):
@@ -258,9 +259,8 @@ class _Data:
         self.rhs = rhs[keep] * self.row_scale
         self.b = self.rhs[: self.me]
         self.h = self.rhs[self.me :]
-        if self.V is not None:
-            e, s = np.flatnonzero(keep[:me]), self.row_scale[: self.me]
-            self.eq_gram = gram[np.ix_(e, e)] * np.outer(s, s)
+        e, s = np.flatnonzero(keep[:me]), self.row_scale[: self.me]
+        self.eq_gram = eq_gram[np.ix_(e, e)] * np.outer(s, s)
 
     def _set_rows(self, A, me: int) -> None:
         """Hold the operator rows A, the first me of them equalities, and
@@ -307,8 +307,7 @@ class _Data:
 
     def onto_equalities(self, R: np.ndarray) -> np.ndarray:
         """R - adjoint(c) with eq_gram c = A(R) - b on the kept equalities:
-        the nearest matrix to R in Frobenius norm that meets them (face
-        only)."""
+        the nearest matrix to R in Frobenius norm that meets them."""
         c = np.linalg.solve(self.eq_gram, self.apply(R)[: self.me] - self.b)
         return R - self.adjoint(np.concatenate([c, np.zeros(self.mi)]))
 
@@ -819,17 +818,15 @@ def solve(
     were appended to it (its ``dual_ineq`` may be shorter than ``num_ineq``;
     the missing rows get multiplier 0), or cold without one. Each later pass
     starts from the pass before it when that one ended OPTIMAL, and cold
-    otherwise. A warm-started pass that ends short of OPTIMAL is solved
-    again cold on the same working set. A ``start`` whose primal is not
-    N x N, whose ``dual_eq`` does not hold ``num_eq`` values or whose
-    ``dual_ineq`` holds more than ``num_ineq`` is a ValueError.
-    ``cfg.max_iters`` bounds the iterations of the whole solve, which
-    ``iterations`` counts: every pass and every cold re-solve. A solve that
-    spends them before its working set settles ends MAX_ITERS.
+    otherwise. A ``start`` whose primal is not N x N, whose ``dual_eq``
+    does not hold ``num_eq`` values or whose ``dual_ineq`` holds more than
+    ``num_ineq`` is a ValueError. ``cfg.max_iters`` bounds the iterations of
+    the whole solve, which ``iterations`` counts over every pass. A solve
+    that spends them before its working set settles ends MAX_ITERS.
 
-    On a face, the returned matrix is the last pass's moved onto the kept
-    equalities (see ``_Data.onto_equalities``) and ``objective_primal`` is
-    its objective; the multipliers are the pass's.
+    The returned matrix is the last pass's moved onto the kept equalities
+    (see ``_Data.onto_equalities``), and ``objective_primal`` is its
+    objective as a float; the multipliers are the pass's.
 
     Returns the best iterate found together with the objective values and
     the (primal infeasibility, dual infeasibility, relative gap) triple.
@@ -859,28 +856,20 @@ def solve(
         raise ValueError(f"ineq_hint holds rows outside 0..{mi - 1}: {bad.tolist()}")
     batch = max(4 * p.block_order, 400)
     iterations = 0
-    for _ in range(_SIFT_MAX_PASSES):
-        if iterations == cfg.max_iters:
-            break
+    while iterations < cfg.max_iters:
         # solve on the working set within what is left of the budget, then
-        # scatter its duals to all rows and lift its primal off the face
+        # scatter its duals to all rows, move its primal onto the kept
+        # equalities and lift it off the face
         data = _Data(p, working)
         sol = _ipm(data, replace(cfg, max_iters=cfg.max_iters - iterations), start)
         iterations += sol.iterations
-        left = cfg.max_iters - iterations
-        if start is not None and sol.status is not SolverStatus.OPTIMAL and left:
-            # a warm start next to a degenerate optimum can stall where a
-            # cold one does not (tests/test_cuts.py pins such a round)
-            sol = _ipm(data, replace(cfg, max_iters=left))
-            iterations += sol.iterations
         sol.iterations = iterations
         dual_eq, dual_ineq = np.zeros(p.num_eq), np.zeros(mi)
         dual_eq[data.eq_idx] = sol.dual_eq
         dual_ineq[data.ineq_idx] = sol.dual_ineq
         sol.dual_eq, sol.dual_ineq = dual_eq, dual_ineq
-        if data.V is not None:
-            sol.primal = data.onto_equalities(sol.primal)
-            sol.objective_primal = float(np.vdot(data.C, sol.primal)) + data.c0
+        sol.primal = data.onto_equalities(sol.primal)
+        sol.objective_primal = float(np.vdot(data.C, sol.primal) + data.c0)
         sol.primal = data.lift(sol.primal)
         viol = p.ineq_violations(sol.primal)
         cand = np.setdiff1d(np.flatnonzero(viol > 0.5 * cfg.tol * norm), working)

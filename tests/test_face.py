@@ -104,14 +104,20 @@ def test_dropped_rows_carry_dual_zero(solved_cell):
 
 
 @pytest.mark.parametrize(
-    "spec,m1,m2", [("gnp:13,0.5,669297", 7, 6), ("gnp:14,0.5,756741", 12, 2)]
+    "spec,m1,m2",
+    [("gnp:13,0.5,669297", 7, 6), ("gnp:14,0.5,756741", 12, 2), ("gnp:12,0.3,349889", 9, 3)],
 )
 def test_order_n_solve_passes_the_lift(spec, m1, m2):
     # with its dependent trace row kept, the order-n solve missed the lift's
-    # 1e-6 feasibility check on its j-trace row (3.0e-6 and 1.1e-6)
+    # 1e-6 feasibility check on its j-trace row (3.0e-6 and 1.1e-6); the
+    # third missed it until every solve ended on its kept equalities
     inst = BisectionInstance(generate(spec), m1, m2)
-    sol = solve(build_new(inst, True), SolverConfig())
+    p = build_new(inst, True)
+    sol = solve(p, SolverConfig())
     assert sol.status is SolverStatus.OPTIMAL
+    # the trace row that the presolve drops holds too
+    assert np.abs(p.eq_residuals(sol.primal)).max() <= 1e-10
+    assert type(sol.objective_primal) is float
     lift_new_to_wz(sol.primal, inst)
 
 
