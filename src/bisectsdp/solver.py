@@ -4,9 +4,15 @@ A path-following method with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step, specialized to one dense PSD block plus scalar
 inequalities handled through nonnegative slacks. Problems in this package
 are small (block order <= 300) and dense, so all factorizations are dense;
-the Schur complement has one row per constraint. Its build computes the
-products W K_j W one batch of rows with equal entry count at a time, one
-stacked matrix product per batch, and holds them in that batch order.
+the Schur complement has one row per constraint. Its build holds each row
+as factor pairs, K = sum_p e_p a_p' + a_p e_p' over the row's pivots p, as
+Fujisawa, Kojima and Nakata exploit sparse rows (Math. Prog. 79, 1997) and
+DSDP low-rank ones (Benson, Ye and Zhang, SIAM J. Optim. 10, 2000): a
+row-sum row is one pair, the all-ones row at most one per index. It
+computes the products W K_j W one batch of rows with equal pair count at a
+time, one stacked matrix product per batch, reads them only at the upper
+positions that some row names, and contracts them with the rows' entries
+there in one sparse product.
 
 A problem with a face V (the vector-lifted relaxation, whose equalities
 force every feasible matrix into range(V)) is solved on R with M = V R V^T,
@@ -102,6 +108,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .model import ConicProblem, upper_entries
@@ -116,10 +123,6 @@ __all__ = [
     "safe_lower_bound",
     "min_eigenvalue",
 ]
-
-# Dense coefficient matrices (the all-ones families) switch to two full
-# matrix products instead of outer-product accumulation in the Schur build.
-_DENSE_NNZ_FACTOR = 4
 
 _BLOCK_ORDER_CAP = 300
 # fraction of the distance to the cone boundary taken by each step
@@ -264,7 +267,26 @@ class _Data:
 
     def _set_rows(self, A, me: int) -> None:
         """Hold the operator rows A, the first me of them equalities, and
-        their entries for the Schur build."""
+        their factor pairs for the Schur build.
+
+        Each upper entry (r, c, v) of a row is turned so that its pivot
+        comes first: of r and c, the index that the row names more often,
+        the smaller on a tie. Grouping a row's entries by pivot p writes it
+        as K = sum_p e_p a_p' + a_p e_p', where a_p holds the entries' values
+        at their other index, a diagonal value halved. A row-sum row is one
+        pair, j-trace at most N pairs. The rows of the sparse (F x N)
+        matrix _fac are the a_p of all rows, row by row, and _pivots holds
+        their pivots.
+
+        The Schur build takes the rows in batch order, runs of equal pair
+        count k, each (a, b, uv, vu): for the batch's (b - a, k) pair
+        indices f, uv = [f, F + f] and vu = [F + f, f] index the stacked
+        [U; V], where U = W[_pivots] and V = _fac W. Row i sits at place
+        _inverse[i]. _at
+        lists the flat upper positions that some row names, and row i of the
+        sparse _bu holds row i's entries there with weight 2u (v on the
+        diagonal), so <K_i, M> = _bu[i] . M[_at] for a symmetric M.
+        """
         n = self.N
         self.A = A
         self.At = A.T.tocsr()
@@ -272,25 +294,41 @@ class _Data:
         self.mi = self.m - me
         counts, r, c, v = upper_entries(A, n)
         u = v * np.where(r != c, 1.0, 0.5)
-        # rows with many entries enter the Schur build as dense matrices,
-        # the rest as (r, c, u) with halved diagonal values, which makes
-        # W K W = U'V + V'U exact (_batch_products). The build takes the rows
-        # in batch order: runs of equal entry count, (a, b, r, c, u) with
-        # (b - a, k) entry arrays, then the dense rows; row i sits at place
-        # _inverse[i].
-        dense = counts > _DENSE_NNZ_FACTOR * n
-        order = np.lexsort((counts, dense))
-        self._inverse = np.empty_like(order)
-        self._inverse[order] = np.arange(self.m)
-        sparse = order[: self.m - np.count_nonzero(dense)]
-        start = np.cumsum(counts) - counts
-        edges = np.flatnonzero(np.diff(counts[sparse], prepend=-1, append=-1))
-        self._groups = []
+        row = np.repeat(np.arange(self.m), counts)
+        at_r, at_c = row * n + r, row * n + c
+        # how often each row names each index; a diagonal entry counts twice
+        named = np.bincount(np.concatenate([at_r, at_c]), minlength=self.m * n)
+        turn = named[at_c] > named[at_r]
+        # key: a pair's row and pivot; the stable sort keeps each pair's
+        # entries in row order
+        key = np.where(turn, at_c, at_r)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        F = len(first)
+        self._fac = sp.csr_matrix(
+            (u[order], np.where(turn, r, c)[order], np.append(first, len(key))), shape=(F, n)
+        )
+        self._pivots = key[first] % n
+        pairs = np.bincount(key[first] // n, minlength=self.m)
+        by = np.argsort(pairs, kind="stable")
+        self._inverse = np.empty_like(by)
+        self._inverse[by] = np.arange(self.m)
+        start = np.cumsum(pairs) - pairs
+        edges = np.flatnonzero(np.diff(pairs[by], prepend=-1, append=-1))
+        self._batches = []
         for a, b in zip(edges[:-1], edges[1:]):
-            at = start[sparse[a:b], None] + np.arange(counts[sparse[a]])
-            self._groups.append((a, b, r[at], c[at], u[at]))
-        self.dense_K = A[order[len(sparse):]].toarray().reshape(-1, n, n)
-        self._Tbuf = None
+            f = start[by[a:b], None] + np.arange(pairs[by[a]])
+            self._batches.append((a, b, np.hstack([f, F + f]), np.hstack([F + f, f])))
+        flat = r * n + c
+        named_at = np.zeros(n * n, dtype=bool)
+        named_at[flat] = True
+        self._at = np.flatnonzero(named_at)
+        place = np.cumsum(named_at) - 1
+        self._bu = sp.csr_matrix(
+            (2.0 * u, place[flat], np.append(0, np.cumsum(counts))), shape=(self.m, len(self._at))
+        )
+        self._buf = None
 
     def lift(self, R: np.ndarray) -> np.ndarray:
         """The problem's matrix V R V^T of a solver iterate R."""
@@ -314,38 +352,29 @@ class _Data:
     def schur(self, W: np.ndarray, d_lp: np.ndarray) -> np.ndarray:
         """Schur complement: S[i,j] = <K_i, W K_j W>, plus diag(u/q) on slacks.
 
-        The buffer T holds the products W K_j W in the batch order of
-        _set_rows, and _inverse puts the columns of A T' back in row order.
-        With a face, <V'K_iV, W V'K_jV W> = <K_i, Wt K_j Wt> for Wt = V W V'.
+        With U = W[_pivots] and V = _fac W, row j's product is
+        W K_j W = U_j'V_j + V_j'U_j over its pairs, one batched product per
+        batch of _set_rows (see there). The buffer holds each product at the
+        positions _at, one column per row in batch order, so _bu times it
+        gives S with its columns in batch order, which _inverse puts back in
+        row order. S is returned exactly symmetric. With a face,
+        <V'K_iV, W V'K_jV W> = <K_i, Wt K_j Wt> for Wt = V W V'.
         """
         W = self.lift(W)
         n, m = self.N, self.m
-        if self._Tbuf is None:
-            self._Tbuf = np.empty((m, n * n))
-        T = self._Tbuf
-        for a, b, r, c, u in self._groups:
-            _batch_products(W, r, c, u, out=T[a:b].reshape(b - a, n, n))
-        for K, Ti in zip(self.dense_K, T[m - len(self.dense_K):]):
-            np.matmul(W @ K, W, out=Ti.reshape(n, n))
-        S = (self.A @ T.T)[:, self._inverse]
+        if self._buf is None:
+            self._buf = np.empty((len(self._at), m))
+        buf = self._buf
+        # [U; V]' [V; U] gives each row's symmetrized product in one gemm
+        UV = np.concatenate([W[self._pivots], self._fac @ W])
+        for a, b, uv, vu in self._batches:
+            T = np.matmul(UV[uv].transpose(0, 2, 1), UV[vu]).reshape(b - a, n * n)
+            buf[:, a:b] = T[:, self._at].T
+        S = (self._bu @ buf)[:, self._inverse]
         S = 0.5 * (S + S.T)
         i = np.arange(self.me, m)
         S[i, i] += d_lp
         return S
-
-
-def _batch_products(W, r, c, u, out) -> None:
-    """out[t] = U'V + V'U = W K_t W for a batch of rows with k entries each,
-    where row j of the (k, n) arrays U and V is u[t, j] W[:, r[t, j]] and
-    W[:, c[t, j]]."""
-    # W'[r] stacks the batch's U as C-ordered (g, k, n) arrays, each the
-    # transpose of the F-ordered W[:, r[t]] of one row, so every row's gemm
-    # sees the operand layouts it would alone; the temporaries die here,
-    # before the caller's A T' copies T
-    k = r.shape[1]
-    UV = np.concatenate([W.T[r] * u[:, :, None], W.T[c]], axis=1)
-    # [U; V]' [V; U] gives each row's symmetrized product in one gemm
-    np.matmul(UV.transpose(0, 2, 1), np.concatenate([UV[:, k:], UV[:, :k]], axis=1), out=out)
 
 
 # presolve thresholds: a row keeps less than this share of its norm on the
@@ -490,15 +519,18 @@ def _svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _factor_schur(S: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of S, upper part not cleaned, as
-    sla.cho_factor(S, lower=True)[0]; S is shifted by an escalating multiple
-    of its mean diagonal until the factor exists."""
+    """Lower Cholesky factor of an exactly symmetric S, upper part not
+    cleaned, as sla.cho_factor(S, lower=True)[0]; S is shifted by an
+    escalating multiple of its mean diagonal until the factor exists."""
     # a problem with no rows has an empty S, which needs no scale
     scale = max(float(np.mean(np.diag(S))), 1e-30) if len(S) else 1.0
     jitter = 0.0
     while True:
+        shifted = S if jitter == 0.0 else S + jitter * scale * np.eye(len(S))
         try:
-            return _lapack(_potrf, S + jitter * scale * np.eye(len(S)), lower=1, clean=0)[0]
+            # the transpose is the same matrix, F-ordered, so f2py copies it
+            # without transposing
+            return _lapack(_potrf, shifted.T, lower=1, clean=0)[0]
         except np.linalg.LinAlgError:
             jitter = 1e-13 if jitter == 0.0 else jitter * 100.0
             if jitter > 1e-3:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import bisectsdp.solver
 from bisectsdp import (
@@ -214,6 +215,12 @@ def _schur_case(name, inst):
         return problem_from_text("* block_order 2\nobjective | 1,1,1 2,2,1 | 0 | min\n"), []
     if name == "basic":
         p = build_basic(inst)
+    elif name == "pappus-reduced":
+        from bisectsdp.algebra import coherent_closure, reduce_problem
+        from bisectsdp.graphs import adjacency
+
+        pappus = BisectionInstance(generate("pappus"), 10, 8)
+        p = reduce_problem(build_new(pappus), coherent_closure(adjacency(pappus.graph)))
     elif name == "wz":
         p = build_wz(inst)
     else:
@@ -230,14 +237,25 @@ def _schur_case(name, inst):
     return p, rng.permutation(hint)
 
 
-@pytest.mark.parametrize("name", ["basic", "new", "new-cuts", "wz", "no-rows"])
+def _pair_count(data, i):
+    """The number of factor pairs that hold row i of the solver data."""
+    place = data._inverse[i]
+    return next(uv.shape[1] // 2 for a, b, uv, _ in data._batches if a <= place < b)
+
+
+@pytest.mark.parametrize("name", ["basic", "new", "new-cuts", "wz", "no-rows", "pappus-reduced"])
 def test_schur_matches_its_definition(gnp8, name):
-    """The batched build gives S[i,j] = <K_i, W K_j W> + diag(d) in the
-    order of the working set's rows, dense rows and a face included."""
+    """The factor-pair build gives S[i,j] = <K_i, W K_j W> + diag(d) in the
+    order of the working set's rows, exactly symmetric, with the all-ones
+    rows, dense cell sums and a face included."""
     p, idx = _schur_case(name, gnp8)
     data = bisectsdp.solver._Data(p, idx)
+    labels = [p.eq_labels[i] for i in data.eq_idx]
     if name in ("basic", "new", "new-cuts"):
-        assert len(data.dense_K) > 0  # the trace or j-trace row
+        assert _pair_count(data, labels.index("j-trace")) <= data.n
+    if name in ("new", "new-cuts"):
+        row_sums = [i for i, label in enumerate(labels) if label.startswith("row-sum")]
+        assert row_sums and all(_pair_count(data, i) == 1 for i in row_sums)
     rng = np.random.default_rng(11)
     G = rng.standard_normal((data.n, data.n))
     W = G @ G.T + 0.1 * np.eye(data.n)
@@ -250,7 +268,10 @@ def test_schur_matches_its_definition(gnp8, name):
     expected[data.me :, data.me :] += np.diag(d)
     S = data.schur(W, d)
     assert S.shape == (data.m, data.m)
+    assert np.array_equal(S, S.T)
     assert np.abs(S - expected).max(initial=0.0) <= 1e-12 * np.abs(expected).max(initial=1.0)
+    # S is positive definite here, so the factor needs no shift
+    assert np.array_equal(bisectsdp.solver._factor_schur(S), sla.cho_factor(S, lower=True)[0])
 
 
 @pytest.mark.parametrize(
